@@ -14,12 +14,23 @@ configurable staleness discount inflates predictions for flows whose
 window is riddled with gaps, and a flow whose entire window was lost
 falls back to its last good epoch's prediction instead of silently
 reverting to its admission-time estimate.
+
+The poll windows live in one columnar store: one row per tracked flow,
+holding its last ``window`` polls in chronological order with a
+delivered/gap mask.  Each epoch's percentiles and window means come from
+one vectorized pass over the store, grouped by delivered-sample count;
+rows stay chronological, so every result is bit-identical to a
+:class:`~repro.flows.prediction.PercentilePredictor` fed the same polls.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
+
 from ..errors import ConfigurationError
-from ..flows.prediction import PercentilePredictor
+from ..flows.flow import Flow
 from ..flows.traffic import TrafficSet
 
 __all__ = ["TrafficMonitor"]
@@ -36,8 +47,8 @@ class TrafficMonitor:
         Samples per epoch: with a 2-s poll and a 10-min optimization
         period, one epoch holds 300 samples.
     max_tracked_flows:
-        Upper bound on simultaneously tracked predictors.  ``None``
-        (the default) keeps the historical unbounded behaviour; with a
+        Upper bound on simultaneously tracked flows.  ``None`` (the
+        default) keeps the historical unbounded behaviour; with a
         bound, admitting a new flow at capacity evicts the least
         recently observed one (deterministic: observation order) and
         increments :attr:`evictions` so operators can see the monitor
@@ -58,6 +69,10 @@ class TrafficMonitor:
         max_tracked_flows: int | None = None,
         staleness_inflation: float = 0.0,
     ):
+        if not 0.0 <= q <= 100.0:
+            raise ConfigurationError(f"percentile q={q} outside [0, 100]")
+        if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window <= 0:
+            raise ConfigurationError(f"window must be a positive integer, got {window!r}")
         if max_tracked_flows is not None and max_tracked_flows <= 0:
             raise ConfigurationError(
                 f"max_tracked_flows must be positive, got {max_tracked_flows}"
@@ -67,72 +82,242 @@ class TrafficMonitor:
                 f"staleness_inflation must be non-negative, got {staleness_inflation}"
             )
         self.q = q
-        self.window = window
+        self.window = int(window)
         self.max_tracked_flows = max_tracked_flows
         self.staleness_inflation = staleness_inflation
-        self._predictors: dict[str, PercentilePredictor] = {}
-        #: Last successfully computed prediction per flow — the
-        #: fallback when a whole window of polls is lost.
-        self._last_good: dict[str, float] = {}
+        #: Tracked flow id -> store row, in least-recently-observed order.
+        self._rows: dict[str, int] = {}
+        self._free: list[int] = []
+        # The store.  Each row is right-aligned: its ``_n_polls[r]``
+        # polls sit in the last columns, oldest first; unused slots are
+        # gaps.
+        self._values = np.zeros((0, self.window))
+        self._delivered = np.zeros((0, self.window), dtype=bool)
+        self._n_polls = np.zeros(0, dtype=np.int64)
+        self._total_gaps = np.zeros(0, dtype=np.int64)
+        #: Last successfully computed prediction per row — the fallback
+        #: when a whole window of polls is lost.
+        self._last_good = np.zeros(0)
+        self._has_last_good = np.zeros(0, dtype=bool)
+        #: Per-row (sample count, percentile, mean); ``None`` once an
+        #: ingest has changed the windows.
+        self._stats: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.evictions = 0
         self.fallbacks = 0
+        # Never empty: untracked flows index row 0 as a masked placeholder.
+        self._grow_rows()
 
-    # -- predictor bookkeeping ---------------------------------------------------
+    # -- row bookkeeping ---------------------------------------------------------
 
-    def _predictor(self, flow_id: str) -> PercentilePredictor:
-        """The flow's predictor, created (and capacity-enforced) on demand.
+    def _grow_rows(self) -> None:
+        old = self._n_polls.size
+        extra = max(old, 64)
+        self._values = np.vstack([self._values, np.zeros((extra, self.window))])
+        self._delivered = np.vstack([self._delivered, np.zeros((extra, self.window), dtype=bool)])
+        self._n_polls = np.concatenate([self._n_polls, np.zeros(extra, dtype=np.int64)])
+        self._total_gaps = np.concatenate([self._total_gaps, np.zeros(extra, dtype=np.int64)])
+        self._last_good = np.concatenate([self._last_good, np.zeros(extra)])
+        self._has_last_good = np.concatenate([self._has_last_good, np.zeros(extra, dtype=bool)])
+        self._free.extend(range(old + extra - 1, old - 1, -1))
+        self._stats = None
 
-        Touching a predictor moves it to the back of the eviction
-        order, so "oldest" always means least recently observed.
+    def _release(self, rows) -> None:
+        """Clear rows and return them to the free list."""
+        rows = np.asarray(rows, dtype=np.intp)
+        self._delivered[rows] = False
+        self._n_polls[rows] = 0
+        self._total_gaps[rows] = 0
+        self._has_last_good[rows] = False
+        self._free.extend(rows.tolist())
+
+    def _touch(self, flow_id: str) -> int:
+        """The flow's row, allocated (and capacity-enforced) on demand.
+
+        Touching a flow moves it to the back of the eviction order, so
+        "oldest" always means least recently observed.
         """
-        predictor = self._predictors.pop(flow_id, None)
-        if predictor is None:
+        row = self._rows.pop(flow_id, None)
+        if row is None:
             if (
                 self.max_tracked_flows is not None
-                and len(self._predictors) >= self.max_tracked_flows
+                and len(self._rows) >= self.max_tracked_flows
             ):
-                oldest = next(iter(self._predictors))
-                del self._predictors[oldest]
-                self._last_good.pop(oldest, None)
+                oldest = next(iter(self._rows))
+                self._release([self._rows.pop(oldest)])
                 self.evictions += 1
-            predictor = PercentilePredictor(q=self.q, window=self.window)
-        self._predictors[flow_id] = predictor
-        return predictor
+            if not self._free:
+                self._grow_rows()
+            row = self._free.pop()
+        self._rows[flow_id] = row
+        return row
+
+    def _ingest(self, flow_ids: list[str], counts: list[int], rates: np.ndarray | None) -> None:
+        """Append ``counts[i]`` polls to flow ``flow_ids[i]``'s window.
+
+        Flows are touched in list order.  ``rates`` holds the delivered
+        samples of every flow back to back in the same order, or is
+        ``None`` when the polls are gaps.
+        """
+        if not flow_ids:
+            return
+        self._stats = None
+        evictions = self.evictions
+        rows = np.fromiter((self._touch(fid) for fid in flow_ids), np.intp, len(flow_ids))
+        counts_arr = np.asarray(counts, dtype=np.int64)
+        if rates is not None:
+            starts = np.cumsum(counts_arr) - counts_arr
+        if self.evictions != evictions:
+            # A flow evicted later in this same call loses its row (maybe
+            # to another flow), and with it the polls queued for it.
+            keep = np.fromiter(
+                (self._rows.get(fid) == row for fid, row in zip(flow_ids, rows.tolist())),
+                bool,
+                len(flow_ids),
+            )
+            rows, counts_arr = rows[keep], counts_arr[keep]
+            if rates is not None:
+                starts = starts[keep]
+        for k in np.unique(counts_arr).tolist():
+            sel = counts_arr == k
+            group = rows[sel]
+            new = None if rates is None else rates[starts[sel][:, None] + np.arange(k)]
+            self._push(group, k, new)
+            if rates is None:
+                self._total_gaps[group] += k
+
+    def _push(self, rows: np.ndarray, k: int, new: np.ndarray | None) -> None:
+        """Slide ``k`` polls into each row (``new``: their samples, or
+        ``None`` for gaps).
+
+        The window is over *polls*: a delivered sample leaves with its
+        poll once ``window`` newer polls have arrived.
+        """
+        w = self.window
+        delivered = new is not None
+        if k >= w:
+            if delivered:
+                self._values[rows] = new[:, k - w:]
+            self._delivered[rows] = delivered
+        else:
+            self._values[rows, : w - k] = self._values[rows, k:]
+            self._delivered[rows, : w - k] = self._delivered[rows, k:]
+            if delivered:
+                self._values[rows, w - k:] = new
+            self._delivered[rows, w - k:] = delivered
+        self._n_polls[rows] = np.minimum(self._n_polls[rows] + k, w)
+
+    @staticmethod
+    def _check_rates(rates: np.ndarray) -> None:
+        if not np.isfinite(rates).all():
+            raise ConfigurationError("rates must be finite")
+        if (rates < 0).any():
+            raise ConfigurationError("rates must be non-negative")
+
+    # -- ingest ------------------------------------------------------------------
 
     def observe(self, flow_id: str, rate_bps: float) -> None:
         """Record one polled rate sample for a flow."""
-        self._predictor(flow_id).observe(rate_bps)
+        rates = np.array([rate_bps], dtype=float)
+        self._check_rates(rates)
+        self._ingest([flow_id], [1], rates)
 
     def observe_gap(self, flow_id: str) -> None:
         """Record one poll for which the flow's stats reply was lost."""
-        self._predictor(flow_id).record_gap()
+        self._ingest([flow_id], [1], None)
 
     def observe_epoch(self, rates_by_flow: dict[str, list[float]]) -> None:
-        """Record a whole epoch of samples at once."""
-        for fid, rates in rates_by_flow.items():
-            for r in rates:
-                self.observe(fid, r)
+        """Record a whole epoch of samples at once, flows in dict order."""
+        self._observe_samples(list(rates_by_flow.items()))
+
+    def observe_batch(self, samples: dict[str, list[float]], gaps: dict[str, int]) -> None:
+        """Record one epoch of delivered telemetry in a single call.
+
+        ``samples`` maps flow id to its delivered rates (oldest first),
+        ``gaps`` to its number of lost polls.  Flows are touched as the
+        per-poll loop over sorted sample flows, then sorted gap flows,
+        would touch them, so ``max_tracked_flows`` evicts the same flows.
+        Every rate is validated before any state changes.
+        """
+        bad = [fid for fid, n in gaps.items() if n < 0]
+        if bad:
+            raise ConfigurationError(f"negative gap counts for {bad[:3]}")
+        self._observe_samples([(fid, samples[fid]) for fid in sorted(samples)])
+        gap_ids = [fid for fid in sorted(gaps) if gaps[fid] > 0]
+        self._ingest(gap_ids, [gaps[fid] for fid in gap_ids], None)
+
+    def _observe_samples(self, items: list[tuple[str, list[float]]]) -> None:
+        items = [(fid, rates) for fid, rates in items if len(rates)]
+        counts = [len(rates) for _, rates in items]
+        flat = np.fromiter(
+            chain.from_iterable(rates for _, rates in items), float, sum(counts)
+        )
+        self._check_rates(flat)
+        self._ingest([fid for fid, _ in items], counts, flat)
+
+    # -- per-flow queries ----------------------------------------------------------
+
+    def _window_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row delivered-sample count, percentile and window mean.
+
+        Rows are grouped by sample count so each group is one dense
+        matrix of chronological samples: one ``np.percentile`` and one
+        ``np.mean`` call per group, each row reduced exactly as the
+        single-flow predictor reduces its window.
+        """
+        if self._stats is None:
+            n_samples = self._delivered.sum(axis=1)
+            pred = np.zeros(n_samples.size)
+            mean = np.zeros(n_samples.size)
+            for c in np.unique(n_samples).tolist():
+                if c == 0:
+                    continue
+                sel = np.flatnonzero(n_samples == c)
+                m = self._values[sel][self._delivered[sel]].reshape(sel.size, c)
+                pred[sel] = np.percentile(m, self.q, axis=1)
+                mean[sel] = np.mean(m, axis=1)
+            self._stats = (n_samples, pred, mean)
+        return self._stats
 
     def n_tracked_flows(self) -> int:
-        return len(self._predictors)
+        return len(self._rows)
 
     def has_prediction(self, flow_id: str) -> bool:
-        p = self._predictors.get(flow_id)
-        return p is not None and p.n_samples > 0
+        row = self._rows.get(flow_id)
+        return row is not None and bool(self._delivered[row].any())
 
     def gap_fraction(self, flow_id: str) -> float:
         """Fraction of the flow's window that was dropped polls."""
-        p = self._predictors.get(flow_id)
-        return p.gap_fraction if p is not None else 0.0
+        row = self._rows.get(flow_id)
+        if row is None or self._n_polls[row] == 0:
+            return 0.0
+        n_polls = int(self._n_polls[row])
+        return (n_polls - int(self._delivered[row].sum())) / n_polls
 
     def predicted_demand(self, flow_id: str) -> float:
         """Predicted next-epoch demand (bit/s) for one flow."""
-        p = self._predictors.get(flow_id)
-        if p is None or p.n_samples == 0:
+        if not self.has_prediction(flow_id):
             raise ConfigurationError(f"no observations for flow {flow_id!r}")
-        return p.predict()
+        return float(self._window_stats()[1][self._rows[flow_id]])
 
     # -- traffic views -----------------------------------------------------------
+
+    def _base_rows(self, flows: tuple[Flow, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Each base flow's row (0 when untracked) and a tracked mask."""
+        get = self._rows.get
+        idx = np.fromiter((get(f.flow_id, -1) for f in flows), np.intp, len(flows))
+        tracked = idx >= 0
+        return np.where(tracked, idx, 0), tracked
+
+    @staticmethod
+    def _rebuilt(flows, demand: np.ndarray, replace: np.ndarray) -> TrafficSet:
+        """``flows`` with ``demand`` substituted where ``replace`` is set."""
+        out = TrafficSet()
+        add = out.add
+        for flow, d, r in zip(flows, demand.tolist(), replace.tolist()):
+            if r:
+                flow = Flow(flow.flow_id, flow.src, flow.dst, d, flow.flow_class, flow.deadline_s)
+            add(flow)
+        return out
 
     def predicted_traffic(self, base: TrafficSet) -> TrafficSet:
         """The base traffic set with demands replaced by predictions.
@@ -149,22 +334,23 @@ class TrafficMonitor:
           epoch uses its admission-time estimate, as a real controller
           must).
         """
-        out = TrafficSet()
-        for flow in base:
-            predictor = self._predictors.get(flow.flow_id)
-            if predictor is not None and predictor.n_samples > 0:
-                predicted = max(predictor.predict(), 1.0)
-                gap = predictor.gap_fraction
-                if self.staleness_inflation > 0.0 and gap > 0.0:
-                    predicted *= 1.0 + self.staleness_inflation * gap
-                self._last_good[flow.flow_id] = predicted
-                out.add(flow.with_demand(predicted))
-            elif predictor is not None and flow.flow_id in self._last_good:
-                self.fallbacks += 1
-                out.add(flow.with_demand(self._last_good[flow.flow_id]))
-            else:
-                out.add(flow)
-        return out
+        flows = base.flows
+        rows, tracked = self._base_rows(flows)
+        n_samples, pred, _ = self._window_stats()
+        n_samples = n_samples[rows]
+        observed = tracked & (n_samples > 0)
+        predicted = np.maximum(pred[rows], 1.0)
+        if self.staleness_inflation > 0.0:
+            n_polls = self._n_polls[rows]
+            gap = (n_polls - n_samples) / np.maximum(n_polls, 1)
+            stale = observed & (gap > 0.0)
+            predicted[stale] *= 1.0 + self.staleness_inflation * gap[stale]
+        blind = tracked & ~observed & self._has_last_good[rows]
+        demand = np.where(observed, predicted, self._last_good[rows])
+        self.fallbacks += int(blind.sum())
+        self._last_good[rows[observed]] = predicted[observed]
+        self._has_last_good[rows[observed]] = True
+        return self._rebuilt(flows, demand, observed | blind)
 
     def observed_traffic(self, base: TrafficSet) -> TrafficSet:
         """The base traffic set with demands replaced by *measured* load.
@@ -176,43 +362,43 @@ class TrafficMonitor:
         actually saw?", deliberately independent of the predictor the
         candidate was solved from.
         """
-        out = TrafficSet()
-        for flow in base:
-            predictor = self._predictors.get(flow.flow_id)
-            if predictor is not None and predictor.n_samples > 0:
-                out.add(flow.with_demand(max(predictor.window_mean(), 1.0)))
-            else:
-                out.add(flow)
-        return out
+        flows = base.flows
+        rows, tracked = self._base_rows(flows)
+        n_samples, _, mean = self._window_stats()
+        observed = tracked & (n_samples[rows] > 0)
+        return self._rebuilt(flows, np.maximum(mean[rows], 1.0), observed)
 
     # -- lifecycle ---------------------------------------------------------------
 
     def forget(self, flow_id: str) -> None:
         """Drop a departed flow's history."""
-        self._predictors.pop(flow_id, None)
-        self._last_good.pop(flow_id, None)
+        row = self._rows.pop(flow_id, None)
+        if row is not None:
+            self._release([row])
 
     def prune(self, active_flow_ids) -> int:
         """Forget every tracked flow not in ``active_flow_ids``.
 
         Called by the controller each epoch with the offered traffic's
-        flow ids; without it, churned-out flows leak predictors (and
-        their sample windows) for the lifetime of the run.  Returns the
-        number of predictors dropped.
+        flow ids; without it, churned-out flows leak rows (and their
+        sample windows) for the lifetime of the run.  Returns the
+        number of flows dropped.
         """
         active = set(active_flow_ids)
-        departed = [fid for fid in self._predictors if fid not in active]
-        for fid in departed:
-            del self._predictors[fid]
-            self._last_good.pop(fid, None)
+        departed = [fid for fid in self._rows if fid not in active]
+        if departed:
+            self._release([self._rows.pop(fid) for fid in departed])
         return len(departed)
 
     def telemetry_counters(self) -> dict:
         """Gap/eviction/fallback accounting (picklable sweep payload)."""
+        rows = np.fromiter(self._rows.values(), np.intp, len(self._rows))
+        n_polls = self._n_polls[rows]
+        n_samples = self._delivered[rows].sum(axis=1)
         return {
-            "tracked_flows": len(self._predictors),
+            "tracked_flows": len(self._rows),
             "evictions": self.evictions,
             "fallbacks": self.fallbacks,
-            "window_gaps": sum(p.n_gaps for p in self._predictors.values()),
-            "total_gaps": sum(p.total_gaps for p in self._predictors.values()),
+            "window_gaps": int((n_polls - n_samples).sum()),
+            "total_gaps": int(self._total_gaps[rows].sum()),
         }

@@ -16,6 +16,7 @@ predicted demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..errors import ConfigurationError
@@ -64,9 +65,10 @@ class Flow:
             raise ConfigurationError("flow_id must be non-empty")
         if self.src == self.dst:
             raise ConfigurationError(f"flow {self.flow_id!r}: src == dst ({self.src!r})")
-        if self.demand_bps <= 0:
+        if not math.isfinite(self.demand_bps) or self.demand_bps <= 0:
             raise ConfigurationError(
-                f"flow {self.flow_id!r}: demand must be positive, got {self.demand_bps}"
+                f"flow {self.flow_id!r}: demand must be positive and finite, "
+                f"got {self.demand_bps}"
             )
         if self.flow_class not in FlowClass.ALL:
             raise ConfigurationError(

@@ -12,6 +12,7 @@ heuristic apply the same headroom.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -95,6 +96,8 @@ class PercentilePredictor:
 
     def observe(self, rate_bps: float) -> None:
         """Record one observed data-rate sample."""
+        if not math.isfinite(rate_bps):
+            raise ConfigurationError(f"rate must be finite, got {rate_bps}")
         if rate_bps < 0:
             raise ConfigurationError(f"rate must be non-negative, got {rate_bps}")
         self._push_poll(True)
@@ -103,6 +106,8 @@ class PercentilePredictor:
     def observe_many(self, rates_bps) -> None:
         """Record a batch of observed data-rate samples."""
         arr = np.asarray(rates_bps, dtype=float).ravel()
+        if not np.isfinite(arr).all():
+            raise ConfigurationError("rates must be finite")
         if np.any(arr < 0):
             raise ConfigurationError("rates must be non-negative")
         for r in arr:

@@ -193,15 +193,13 @@ class DegradedStatsCollector:
 
         Delivered samples become observations; empty polls become
         recorded gaps, so the monitor's staleness accounting sees the
-        difference between "no flow" and "no reply".
+        difference between "no flow" and "no reply".  The whole batch
+        goes in one :meth:`~repro.control.monitor.TrafficMonitor.observe_batch`
+        call, which touches flows in the same order as observing every
+        sample (sorted sample flows, then sorted gap flows) would.
         """
         batch = self.collect(epoch, traffic, n_polls=n_polls)
-        for fid in sorted(batch.samples):
-            for rate in batch.samples[fid]:
-                monitor.observe(fid, rate)
-        for fid in sorted(batch.gaps):
-            for _ in range(batch.gaps[fid]):
-                monitor.observe_gap(fid)
+        monitor.observe_batch(batch.samples, batch.gaps)
         return batch
 
     def accounting(self) -> dict:
