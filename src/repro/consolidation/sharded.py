@@ -61,12 +61,9 @@ the contract, checked by the property suite and re-measured by
 ``bench_control``, and every solve reports :class:`ShardedStats`
 (delta-style drift/phase accounting) on the consolidator.
 
-Workers run over the existing shared-memory fabric: the parent
-publishes its warm topology-index path sets once (idempotent per
-fingerprint) and pool workers attach at initialization, grafting the
-matrices zero-copy; pairs that were never warmed parent-side are
-enumerated worker-side with a core-group-restricted fast path and kept
-in a per-worker cache across epochs.
+Pool workers enumerate path sets themselves, with a
+core-group-restricted fast path, and keep them in a per-worker cache
+across epochs.
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..netfast import PackingState, topology_index
 from ..netfast.batchpack import BatchPacker
-from ..netfast.index import publish_shared_index
 from ..netsim.network import Routing
 from ..topology.fattree import FatTree
 from ..topology.graph import ActiveSubnet
@@ -341,17 +337,9 @@ _POOL = None
 _POOL_JOBS = None
 
 
-def _worker_init(manifests) -> None:
-    if manifests:
-        from ..exec.shm import attach_manifests
-
-        attach_manifests(manifests)
-
-
-def _shard_pool(jobs: int, manifests: tuple):
+def _shard_pool(jobs: int):
     """Lazy persistent worker pool (kept across epochs; worker path
-    caches are the point).  Recreated only when ``jobs`` changes —
-    manifests are captured at creation."""
+    caches are the point).  Recreated only when ``jobs`` changes."""
     global _POOL, _POOL_JOBS
     if _POOL is not None and _POOL_JOBS == jobs:
         return _POOL
@@ -359,9 +347,7 @@ def _shard_pool(jobs: int, manifests: tuple):
     import atexit
     from concurrent.futures import ProcessPoolExecutor
 
-    _POOL = ProcessPoolExecutor(
-        max_workers=jobs, initializer=_worker_init, initargs=(manifests,)
-    )
+    _POOL = ProcessPoolExecutor(max_workers=jobs)
     _POOL_JOBS = jobs
     atexit.register(shutdown_shard_pool)
     return _POOL
@@ -374,25 +360,6 @@ def shutdown_shard_pool() -> None:
         _POOL.shutdown(wait=True, cancel_futures=True)
     _POOL = None
     _POOL_JOBS = None
-
-
-#: fingerprint -> manifest of the parent's published path sets (the
-#: publish itself is first-wins in the shm store; this just avoids
-#: re-exporting the warm matrices on every epoch).
-_PUBLISHED: dict = {}
-
-
-def _manifests_for(topology) -> tuple:
-    fp = topology.fingerprint()
-    manifest = _PUBLISHED.get(fp)
-    if manifest is None:
-        try:
-            manifest = publish_shared_index(topology_index(topology))
-        except Exception:
-            manifest = None  # shm unavailable; workers enumerate locally
-        if manifest is not None:
-            _PUBLISHED[fp] = manifest
-    return (manifest,) if manifest is not None else ()
 
 
 # -- the sharded solve ---------------------------------------------------------
@@ -418,7 +385,7 @@ def _run_shards(cons, shard_inputs, seed_state, jobs, scale_factor, sw_delta, ln
             }
             for restriction, flows in shard_inputs
         ]
-        pool = _shard_pool(jobs, _manifests_for(ft))
+        pool = _shard_pool(jobs)
         return list(pool.map(_shard_worker, payloads))
     index = topology_index(cons.topology)
     out = []

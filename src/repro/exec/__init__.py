@@ -32,14 +32,7 @@ from .registry import (
     resolve_task_fn,
     task_fn,
 )
-from .shm import (
-    SharedArtifactStore,
-    ShmManifest,
-    attach_manifests,
-    shared_store,
-    shutdown_shared_store,
-    sweep_orphans,
-)
+from .orphans import sweep_orphans
 from .tasks import BatchTask, SweepTask, canonical_json, derive_seed, spec_digest
 
 __all__ = [
@@ -48,12 +41,9 @@ __all__ = [
     "ResultCache",
     "RetryPolicy",
     "RunJournal",
-    "SharedArtifactStore",
-    "ShmManifest",
     "SweepExecutionError",
     "SweepTask",
     "TaskOutcome",
-    "attach_manifests",
     "cached_call",
     "canonical_json",
     "code_salt",
@@ -65,8 +55,6 @@ __all__ = [
     "resolve_task_fn",
     "run_sweep",
     "set_context",
-    "shared_store",
-    "shutdown_shared_store",
     "spec_digest",
     "sweep_orphans",
     "sweep_stats",

@@ -46,12 +46,6 @@ class ExecContext:
         Ambient :class:`~repro.exec.journal.RetryPolicy` fields applied
         to sweeps that do not pass an explicit policy; the defaults
         reproduce the historical single-shot, unbounded behaviour.
-    shm:
-        Whether parallel sweeps use the zero-pickle shared-memory
-        fabric (:mod:`repro.exec.shm`): the parent publishes compiled
-        topology indexes / VP tables / trace arrays and pool workers
-        attach by content key instead of rebuilding them.  ``False``
-        (the CLI's ``--no-shm``) is the bit-identical reference mode.
     batch:
         Whether the executor fuses cache-missing tasks of batchable ops
         (:func:`~repro.exec.registry.register_batchable`) into
@@ -68,7 +62,6 @@ class ExecContext:
     max_retries: int = 0
     backoff_base_s: float = 0.0
     timeout_s: float | None = None
-    shm: bool = True
     batch: bool = True
 
     def __post_init__(self) -> None:

@@ -32,14 +32,12 @@ The executor is self-healing on three axes, all off by default:
   ``resume=True`` serves journaled terminal outcomes without re-running
   them, so a sweep killed at task 173 of 200 restarts at 174.
 
-Two fabric optimizations are on by default and value-transparent:
+Two dispatch optimizations are value-transparent:
 
-* **pool-initializer hoisting + shm attach** — workers set up their
-  ambient context, cache handle and op registry **once** per process
-  (not per task), and attach the parent's published shared-memory
-  artifacts (:mod:`repro.exec.shm`) so compiled topology indexes and
-  VP tables are mapped, not rebuilt; ``ctx.shm=False`` reverts to
-  rebuild-from-spec.
+* **pool-initializer hoisting** — workers set up their ambient
+  context, cache handle and op registry **once** per process (not per
+  task).  Each worker builds its own compiled topology indexes and VP
+  tables on first use and keeps them warm for every later task.
 * **batch fusion** — cache-missing tasks of a batchable op
   (:func:`~repro.exec.registry.register_batchable`) that agree on
   their shared params are dispatched as one fused batch call, which
@@ -48,7 +46,8 @@ Two fabric optimizations are on by default and value-transparent:
   indices; the cache records per-point entries and the journal per-
   point digests, so warm runs and ``--resume`` are indistinguishable
   from scalar dispatch.  A fused unit that fails wholesale is retried
-  member-by-member as scalars.
+  member-by-member as scalars.  ``ctx.batch=False`` dispatches every
+  task as a scalar.
 
 Results are memoized through :mod:`repro.exec.cache`; fully warm sweeps
 never spin up a process pool at all.
@@ -136,13 +135,13 @@ _WORKER_INIT_COUNT = 0
 _TASKS_EXECUTED = 0
 
 
-def _worker_init(ctx: ExecContext, manifests: tuple = ()) -> None:
+def _worker_init(ctx: ExecContext) -> None:
     """Pool-worker initializer: the once-per-process setup that
     ``_execute_task`` used to redo per task.
 
     Installs the worker's ambient context (``jobs=1`` so nested sweeps
-    stay in-process), builds the cache handle, imports/registers every
-    op module, and attaches the parent's shared-memory artifacts.
+    stay in-process), builds the cache handle and imports/registers
+    every op module.
     """
     global _WORKER, _WORKER_INIT_COUNT, _TASKS_EXECUTED
     _WORKER_INIT_COUNT += 1
@@ -151,22 +150,17 @@ def _worker_init(ctx: ExecContext, manifests: tuple = ()) -> None:
     _TASKS_EXECUTED = 0
     set_context(ctx)
     preload_ops()
-    if manifests and ctx.shm:
-        from .shm import attach_manifests
-
-        attach_manifests(manifests)
     _WORKER = {"cache": ResultCache(ctx.resolved_cache_dir(), enabled=ctx.cache)}
 
 
 def _worker_context(ctx: ExecContext) -> ExecContext:
     """The context a task runs under inside a worker: serial, same
-    cache/fabric flags, journal and retry fields dropped (journaling
+    cache/batch flags, journal and retry fields dropped (journaling
     and retrying are the parent's job)."""
     return ExecContext(
         jobs=1,
         cache=ctx.cache,
         cache_dir=ctx.resolved_cache_dir(),
-        shm=ctx.shm,
         batch=ctx.batch,
     )
 
@@ -241,6 +235,9 @@ def _fuse_round(
     """
     from .tasks import canonical_json
 
+    # Batchable specs register when their op module is imported; a
+    # driver that never imported it must still fuse.
+    preload_ops()
     units: list[_DispatchUnit] = []
     groups: dict[tuple[str, str], list[int]] = {}
     group_order: list[tuple[str, str]] = []
@@ -364,17 +361,10 @@ def _run_round(
     fused_failed: set[int] = set()
     n_tasks = sum(len(u.members) for u in units)
     if ctx.jobs > 1 and n_tasks > 1:
-        worker_ctx = _worker_context(ctx)
-        if ctx.shm:
-            from .shm import shared_store
-
-            manifests = shared_store().manifests()
-        else:
-            manifests = ()
         pool = ProcessPoolExecutor(
             max_workers=min(ctx.jobs, len(units)),
             initializer=_worker_init,
-            initargs=(worker_ctx, manifests),
+            initargs=(_worker_context(ctx),),
         )
         try:
             futures = [
@@ -458,12 +448,6 @@ def run_sweep(
         )
     cache_dir = ctx.resolved_cache_dir()
     cache = ResultCache(cache_dir, enabled=ctx.cache)
-    if ctx.shm:
-        # Reap segments orphaned by previously killed runs before
-        # creating any of our own.
-        from .shm import sweep_orphans
-
-        sweep_orphans()
 
     if journal_path is None and ctx.journal_dir:
         # One journal file per task list, named by the list's content

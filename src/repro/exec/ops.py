@@ -52,7 +52,6 @@ __all__ = [
     "server_sim_op",
     "joint_eval_op",
     "joint_eval_batch_op",
-    "publish_joint_artifacts",
     "network_latency_summary_op",
     "diurnal_profile_op",
     "GOVERNOR_NAMES",
@@ -630,6 +629,7 @@ def joint_eval_batch_op(
     if not todo:
         return payloads
 
+    start = perf_counter()
     try:
         consolidation = _cached_consolidation(
             arity=arity, scheme="aggregation", level=level,
@@ -637,13 +637,16 @@ def joint_eval_batch_op(
         )
     except InfeasibleError as err:
         # The whole group shares this solve: every pending point is the
-        # same legitimate "cannot support" answer the scalar op gives.
+        # same legitimate "cannot support" answer the scalar op gives,
+        # and each is charged its share of the solve time.
+        amortized = (perf_counter() - start) / len(todo)
         for i in todo:
             cache.store("joint-eval", specs[i], STATUS_INFEASIBLE, str(err))
             payloads[i] = {
                 "status": STATUS_INFEASIBLE,
                 "error": str(err),
                 "error_type": type(err).__name__,
+                "duration_s": amortized,
             }
         return payloads
 
@@ -739,41 +742,6 @@ def joint_eval_batch_op(
 register_batchable(
     "joint-eval", "joint-eval-batch", shared=_JOINT_SHARED, point=_JOINT_POINT
 )
-
-
-def publish_joint_artifacts(
-    arity: int,
-    backgrounds,
-    traffic_seed: int = 1,
-    table_k_max: int = 32,
-) -> list:
-    """Parent-side prewarm + publish for joint sweeps (fig13 /
-    datacenter-scale drivers call this before fanning out).
-
-    Warms the full-topology index with the path sets of every flow the
-    sweep's traffic will route (aggregation subnets restrict via path
-    masks over the *same* index, so one warm covers every level), seeds
-    the idle-head VP table stack, and publishes both to the shared-
-    memory store.  Workers then attach instead of re-deriving.  Pure
-    prewarm: no publication changes any computed value.
-    """
-    from ..netfast.index import publish_shared_index, topology_index
-    from ..simfast.tables import publish_shared_tables, shared_table_engine
-
-    workload = workload_for(arity)
-    index = topology_index(workload.topology)
-    for bg in backgrounds:
-        traffic = workload.traffic(bg, seed_or_rng=traffic_seed)
-        for flow in traffic:
-            index.path_set(flow.src, flow.dst)
-    manifests = []
-    manifest = publish_shared_index(index)
-    if manifest is not None:
-        manifests.append(manifest)
-    engine = shared_table_engine(workload.service_model, XEON_LADDER)
-    engine.stack(None, table_k_max)
-    manifests.extend(publish_shared_tables())
-    return manifests
 
 
 # -- network latency summaries -----------------------------------------------------

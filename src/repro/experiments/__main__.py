@@ -96,12 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-task wall-clock budget in seconds (enforced when --jobs > 1)",
     )
     parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="disable the shared-memory artifact fabric (workers rebuild "
-        "topology indexes / VP tables from spec; bit-identical reference mode)",
-    )
-    parser.add_argument(
         "--no-batch",
         action="store_true",
         help="disable fused batch dispatch of joint sweeps (scalar tasks "
@@ -139,7 +133,6 @@ def main(argv: list[str]) -> int:
             resume=args.resume,
             max_retries=args.retries,
             timeout_s=args.task_timeout,
-            shm=not args.no_shm,
             batch=not args.no_batch,
         )
     )

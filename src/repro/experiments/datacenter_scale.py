@@ -15,7 +15,7 @@ on the assembled outcomes.
 from __future__ import annotations
 
 from ..core.joint import JointSimParams
-from ..exec import SweepTask, get_context, run_sweep
+from ..exec import SweepTask, run_sweep
 from ..topology.aggregation import AGGREGATION_LEVELS
 from ..topology.fattree import FatTree
 from .runner import ExperimentResult, register
@@ -120,15 +120,6 @@ def run(
         arities, background, utilization, duration_s, seed, server_engine,
         consolidation_engine,
     )
-
-    ctx = get_context()
-    if ctx.jobs > 1 and ctx.shm:
-        # Publish each arity's compiled topology index + the VP tables
-        # once; pool workers attach by content key instead of rebuilding.
-        from ..exec.ops import publish_joint_artifacts
-
-        for k in arities:
-            publish_joint_artifacts(k, (background,), traffic_seed=seed)
 
     # Reassemble per arity: cheapest SLA-meeting level vs the no-PM baseline.
     best: dict[int, tuple[int, object]] = {}

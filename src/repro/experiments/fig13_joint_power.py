@@ -21,7 +21,7 @@ of a background level route the network exactly once.
 from __future__ import annotations
 
 from ..core.joint import JointSimParams
-from ..exec import SweepTask, get_context, run_sweep
+from ..exec import SweepTask, run_sweep
 from ..topology.aggregation import AGGREGATION_LEVELS
 from ..units import to_ms
 from .runner import ExperimentResult, register
@@ -125,14 +125,6 @@ def run(
         backgrounds, constraints_ms, levels, utilization, params,
         include_no_pm, seed, server_engine, consolidation_engine,
     )
-
-    ctx = get_context()
-    if ctx.jobs > 1 and ctx.shm:
-        # Publish the compiled topology index + VP tables once; pool
-        # workers attach by content key instead of rebuilding them.
-        from ..exec.ops import publish_joint_artifacts
-
-        publish_joint_artifacts(4, backgrounds, traffic_seed=seed)
 
     for outcome in run_sweep(tasks):
         if outcome.infeasible:

@@ -34,8 +34,6 @@ __all__ = [
     "TopologyIndex",
     "topology_index",
     "clear_index_registry",
-    "export_shared_index",
-    "publish_shared_index",
 ]
 
 
@@ -100,10 +98,6 @@ class TopologyIndex:
                 self.dlink_touches_host[2 * i + 1] = True
 
         self._path_sets: dict[tuple[str, str], PathSet] = {}
-        # Shared-memory grafts: per-pair matrix views published by
-        # another process (see _shm_restore), materialized into real
-        # PathSets lazily on first use.
-        self._grafts: dict[tuple[str, str], tuple] = {}
 
     # -- name <-> id helpers ---------------------------------------------------
 
@@ -122,33 +116,9 @@ class TopologyIndex:
         key = (src, dst)
         ps = self._path_sets.get(key)
         if ps is None:
-            graft = self._grafts.pop(key, None)
-            if graft is not None:
-                ps = self._from_graft(src, graft)
-            else:
-                ps = self._build_path_set(src, dst)
+            ps = self._build_path_set(src, dst)
             self._path_sets[key] = ps
         return ps
-
-    def _from_graft(self, src: str, graft: tuple) -> PathSet:
-        """Reconstruct a PathSet from shared-memory matrix views.
-
-        The matrices are zero-copy views into the publishing process's
-        segment; only the node-name tuples are rebuilt (a directed-link
-        chain determines them exactly), so the result is bit-identical
-        to :meth:`_build_path_set` without re-enumerating paths.
-        """
-        dlinks, ulinks, switch_nodes, host_hop = graft
-        node_paths = tuple(
-            (src, *(self.dlink_name(int(d))[1] for d in row)) for row in dlinks
-        )
-        return PathSet(
-            node_paths=node_paths,
-            dlinks=dlinks,
-            ulinks=ulinks,
-            switch_nodes=switch_nodes,
-            host_hop=host_hop,
-        )
 
     def _build_path_set(self, src: str, dst: str) -> PathSet:
         paths = shortest_paths(self.topology, src, dst)
@@ -192,11 +162,6 @@ _CONTENT_REGISTRY: dict[str, TopologyIndex] = {}
 _MAX_CONTENT_ENTRIES = 8
 
 
-#: fingerprint -> per-pair shared-memory matrix views, landed by
-#: :func:`_shm_restore` and grafted into content-matching indexes.
-_SHM_PATHSETS: dict[str, dict[tuple[str, str], tuple]] = {}
-
-
 def topology_index(topology: Topology) -> TopologyIndex:
     """The shared :class:`TopologyIndex` for ``topology``.
 
@@ -205,10 +170,7 @@ def topology_index(topology: Topology) -> TopologyIndex:
     is looked up in a process-wide registry, so a content-identical
     topology built by another consolidator/benchmark run reuses the
     already-compiled matrices (and every cached path set).  Only on a
-    genuinely new structure is an index built — and if a content-
-    matching path-set bundle arrived over shared memory (a sweep worker
-    attached to its parent's publication), the fresh index grafts those
-    matrices instead of re-enumerating shortest paths.
+    genuinely new structure is an index built.
     """
     idx = _TOPO_REFS.get(topology)
     if idx is None:
@@ -216,9 +178,6 @@ def topology_index(topology: Topology) -> TopologyIndex:
         idx = _CONTENT_REGISTRY.pop(key, None)
         if idx is None:
             idx = TopologyIndex(topology)
-            shared = _SHM_PATHSETS.get(key)
-            if shared:
-                idx._grafts.update(shared)
             while len(_CONTENT_REGISTRY) >= _MAX_CONTENT_ENTRIES:
                 del _CONTENT_REGISTRY[next(iter(_CONTENT_REGISTRY))]
         _CONTENT_REGISTRY[key] = idx
@@ -226,88 +185,10 @@ def topology_index(topology: Topology) -> TopologyIndex:
     return idx
 
 
-# -- shared-memory fabric ------------------------------------------------------
-
-
-def export_shared_index(index: TopologyIndex):
-    """``(arrays, meta)`` of every warm path set, shm-publishable form.
-
-    Matrices of all pairs are concatenated flat per field; ``meta``
-    records the pair table (src, dst, n_paths, n_hops, n_switches) in
-    order so attachers can slice them back out.  Returns ``None`` when
-    no non-empty path set is warm (nothing worth sharing).
-    """
-    pairs: list[tuple[str, str, int, int, int]] = []
-    dl, ul, sw, hh = [], [], [], []
-    for (src, dst), ps in index._path_sets.items():
-        if ps.n_paths == 0:
-            continue
-        pairs.append(
-            (src, dst, ps.n_paths, ps.dlinks.shape[1], ps.switch_nodes.shape[1])
-        )
-        dl.append(ps.dlinks.ravel())
-        ul.append(ps.ulinks.ravel())
-        sw.append(ps.switch_nodes.ravel())
-        hh.append(ps.host_hop.ravel())
-    if not pairs:
-        return None
-    arrays = {
-        "dlinks": np.concatenate(dl).astype(np.int64, copy=False),
-        "ulinks": np.concatenate(ul).astype(np.int64, copy=False),
-        "switch_nodes": np.concatenate(sw).astype(np.int64, copy=False),
-        "host_hop": np.concatenate(hh),
-    }
-    meta = {
-        "fingerprint": index.topology.fingerprint(),
-        "pairs": tuple(pairs),
-    }
-    return arrays, meta
-
-
-def publish_shared_index(index: TopologyIndex, store=None):
-    """Publish an index's warm path sets to the shared-memory store.
-
-    Idempotent per topology fingerprint: the *first* publication wins,
-    so warm every pair the sweep will need (e.g. via
-    :func:`repro.exec.ops.publish_joint_artifacts`) before calling.
-    Returns the manifest, or ``None`` when there is nothing to share.
-    """
-    exported = export_shared_index(index)
-    if exported is None:
-        return None
-    from ..exec.shm import shared_store
-
-    arrays, meta = exported
-    store = store if store is not None else shared_store()
-    return store.publish("topology-index", meta["fingerprint"], arrays, meta)
-
-
-def _shm_restore(arrays, meta) -> None:
-    """Attach-side hook (see :mod:`repro.exec.shm`): slice the flat
-    shared arrays back into per-pair views and stage them for graft."""
-    grafts: dict[tuple[str, str], tuple] = {}
-    off = soff = 0
-    for src, dst, n_paths, n_hops, n_switches in meta["pairs"]:
-        size = n_paths * n_hops
-        ssize = n_paths * n_switches
-        grafts[(src, dst)] = (
-            arrays["dlinks"][off : off + size].reshape(n_paths, n_hops),
-            arrays["ulinks"][off : off + size].reshape(n_paths, n_hops),
-            arrays["switch_nodes"][soff : soff + ssize].reshape(n_paths, n_switches),
-            arrays["host_hop"][off : off + size].reshape(n_paths, n_hops),
-        )
-        off += size
-        soff += ssize
-    _SHM_PATHSETS[meta["fingerprint"]] = grafts
-
-
 def clear_index_registry() -> None:
     """Drop the content-keyed index registry (tests / memory pressure).
 
     Identity-keyed entries are weak and clear themselves; live
     topologies re-register on the next :func:`topology_index` call.
-    Staged shared-memory grafts are dropped too — their backing
-    segments may be about to unlink.
     """
     _CONTENT_REGISTRY.clear()
-    _SHM_PATHSETS.clear()

@@ -50,8 +50,6 @@ __all__ = [
     "VPTableEngine",
     "shared_table_engine",
     "clear_shared_engines",
-    "export_shared_tables",
-    "publish_shared_tables",
 ]
 
 #: Decision modes: the limiting request (Rubik) or the queue average
@@ -431,12 +429,6 @@ def _fingerprint(service_model: ServiceModel, ladder: FrequencyLadder) -> str:
     return h.hexdigest()
 
 
-#: fingerprint -> {head offset: (n_rows, width) table view}, landed by
-#: :func:`_shm_restore`; engines created for a matching fingerprint
-#: seed their stacks from these views instead of FFT-building rows.
-_SHM_TABLES: dict[str, dict[int | None, np.ndarray]] = {}
-
-
 def shared_table_engine(
     service_model: ServiceModel, ladder: FrequencyLadder
 ) -> VPTableEngine:
@@ -445,18 +437,12 @@ def shared_table_engine(
     Governors are per-core and sweep tasks rebuild their models per
     spec; routing them all through this registry means the (expensive,
     content-identical) tables are built once per worker process and
-    stay warm across every simulation in a sweep.  If a content-
-    matching table bundle arrived over shared memory (the parent's
-    publication), a new engine starts from those zero-copy views
-    instead of rebuilding — decisions are bit-identical either way
-    (padding is zeros and the stacks rebuild deterministically on
-    growth or eviction).
+    stay warm across every simulation in a sweep.
     """
     key = _fingerprint(service_model, ladder)
     engine = _SHARED.pop(key, None)
     if engine is None:
         engine = VPTableEngine(service_model, ladder)
-        _seed_from_shm(engine, key)
         while len(_SHARED) >= _MAX_SHARED:
             del _SHARED[next(iter(_SHARED))]
     _SHARED[key] = engine
@@ -464,91 +450,5 @@ def shared_table_engine(
 
 
 def clear_shared_engines() -> None:
-    """Drop all process-level table engines and staged shared-memory
-    table bundles (tests / memory pressure)."""
+    """Drop all process-level table engines (tests / memory pressure)."""
     _SHARED.clear()
-    _SHM_TABLES.clear()
-
-
-# -- shared-memory fabric ------------------------------------------------------
-
-
-def export_shared_tables(engine: VPTableEngine):
-    """``(arrays, meta)`` of an engine's warm stacks, shm-publishable.
-
-    All stack tables are concatenated into one flat float64 array;
-    ``meta`` records (offset, n_rows, width, start) per stack.  Returns
-    ``None`` when no stack is warm.
-    """
-    stacks_meta: list[tuple[int | None, int, int, int]] = []
-    flats: list[np.ndarray] = []
-    pos = 0
-    for offset, stack in engine._stacks.items():
-        t = stack.tables
-        if t.size == 0:
-            continue
-        stacks_meta.append((offset, t.shape[0], t.shape[1], pos))
-        flats.append(t.ravel())
-        pos += t.size
-    if not flats:
-        return None
-    arrays = {"tables": np.concatenate(flats)}
-    meta = {
-        "fingerprint": _fingerprint(engine.service_model, engine.ladder),
-        "stacks": tuple(stacks_meta),
-    }
-    return arrays, meta
-
-
-def publish_shared_tables(store=None) -> list:
-    """Publish every warm engine in the process registry; returns the
-    manifests.  Idempotent per fingerprint (first publication wins), so
-    warm the stacks a sweep will reuse before calling."""
-    from ..exec.shm import shared_store
-
-    store = store if store is not None else shared_store()
-    manifests = []
-    for engine in _SHARED.values():
-        exported = export_shared_tables(engine)
-        if exported is None:
-            continue
-        arrays, meta = exported
-        manifests.append(
-            store.publish("vp-tables", meta["fingerprint"], arrays, meta)
-        )
-    return manifests
-
-
-def _shm_restore(arrays, meta) -> None:
-    """Attach-side hook (see :mod:`repro.exec.shm`): slice the flat
-    table array back into per-offset views and stage them for the next
-    engine with this fingerprint."""
-    tables = arrays["tables"]
-    stacks: dict[int | None, np.ndarray] = {}
-    for offset, n_rows, width, pos in meta["stacks"]:
-        stacks[offset] = tables[pos : pos + n_rows * width].reshape(n_rows, width)
-    _SHM_TABLES[meta["fingerprint"]] = stacks
-
-
-def _seed_from_shm(engine: VPTableEngine, key: str) -> None:
-    """Seed an engine's stacks from staged shared-memory views.
-
-    Rows are the padded table rows themselves: padding is exactly
-    zeros, and ``_HeadStack.ensure`` takes the max row size for its
-    width, which the padded rows preserve (width == max natural row
-    size by construction) — so later growth, eviction and every
-    ``decide()`` reproduce the built-from-scratch engine bit for bit.
-    """
-    staged = _SHM_TABLES.get(key)
-    if not staged:
-        return
-    for offset, tables in staged.items():
-        head = (
-            None if offset is None
-            else engine.base.conditional_remaining_at(offset)
-        )
-        stack = _HeadStack(head)
-        stack.rows = [tables[k] for k in range(tables.shape[0])]
-        stack.tables = tables
-        engine._stacks[offset] = stack
-        engine._total_bytes += tables.nbytes

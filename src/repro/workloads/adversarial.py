@@ -24,7 +24,7 @@ module packages four such stressors as picklable, seed-deterministic
 Each scenario carries a per-epoch ``regimes`` labelling used by the
 regret accounting (the oracle picks one operating point *per regime*),
 converts to a :class:`~repro.workloads.diurnal.DiurnalTrace` for
-fingerprinting and shared-memory publication (:mod:`.traceio`), and is
+fingerprinting (:mod:`.traceio`), and is
 reconstructible from ``(name, n_epochs, seed)`` alone so sweep tasks
 stay primitive.
 """
@@ -153,7 +153,7 @@ class AdversarialScenario:
         return len(set(self.regimes))
 
     def trace(self) -> DiurnalTrace:
-        """The load series as a (fingerprintable, publishable) trace."""
+        """The load series as a (fingerprintable) trace."""
         return DiurnalTrace(
             minutes=np.arange(self.n_epochs, dtype=float),
             search_load=np.asarray(self.search_load, dtype=float),

@@ -5,13 +5,6 @@ deployments that *do* have a measured trace can load it from CSV and
 drive the same experiments.  Format: a header line followed by
 ``minute,search_load,background_utilization`` rows (fractions in
 [0, 1]).
-
-Traces are also first-class shared-memory artifacts: a parent that
-drives many trace-replay workers publishes the (read-only) sample
-arrays once (:func:`publish_shared_trace`), and workers resolve them by
-content fingerprint (:func:`shared_trace`) instead of re-parsing CSVs
-or receiving pickled copies — same registry pattern as the topology
-index and VP tables.
 """
 
 from __future__ import annotations
@@ -30,8 +23,6 @@ __all__ = [
     "load_trace_csv",
     "trace_fingerprint",
     "scenario_fingerprint",
-    "publish_shared_trace",
-    "shared_trace",
 ]
 
 _HEADER = ["minute", "search_load", "background_utilization"]
@@ -86,12 +77,6 @@ def load_trace_csv(path) -> DiurnalTrace:
     )
 
 
-# -- shared-memory fabric ------------------------------------------------------
-
-#: fingerprint -> trace restored from another process's publication.
-_SHM_TRACES: dict[str, DiurnalTrace] = {}
-
-
 def trace_fingerprint(trace: DiurnalTrace) -> str:
     """Content key of a trace (same samples ⇒ same key, any origin)."""
     h = hashlib.sha256()
@@ -131,48 +116,3 @@ def scenario_fingerprint(scenario) -> str:
         )
     h.update(repr(meta).encode())
     return h.hexdigest()
-
-
-def publish_shared_trace(trace: DiurnalTrace, store=None) -> tuple:
-    """Place a trace's sample arrays in the shared-memory store.
-
-    Returns ``(fingerprint, manifest)``; idempotent per content.
-    Workers resolve it with :func:`shared_trace` after their pool
-    initializer attached the manifests.
-    """
-    from ..exec.shm import shared_store
-
-    store = store if store is not None else shared_store()
-    key = trace_fingerprint(trace)
-    arrays = {
-        "minutes": np.ascontiguousarray(trace.minutes, dtype=np.float64),
-        "search_load": np.ascontiguousarray(trace.search_load, dtype=np.float64),
-        "background_utilization": np.ascontiguousarray(
-            trace.background_utilization, dtype=np.float64
-        ),
-    }
-    manifest = store.publish("trace", key, arrays, {"fingerprint": key})
-    # The publisher can resolve its own publication too — callers ship
-    # workers the fingerprint and use one lookup path everywhere.
-    views, _ = store.get("trace", key)
-    _SHM_TRACES[key] = DiurnalTrace(
-        minutes=views["minutes"],
-        search_load=views["search_load"],
-        background_utilization=views["background_utilization"],
-    )
-    return key, manifest
-
-
-def shared_trace(fingerprint: str) -> DiurnalTrace | None:
-    """The trace published under ``fingerprint``, or ``None`` if no
-    such publication reached this process."""
-    return _SHM_TRACES.get(fingerprint)
-
-
-def _shm_restore(arrays, meta) -> None:
-    """Attach-side hook (see :mod:`repro.exec.shm`)."""
-    _SHM_TRACES[meta["fingerprint"]] = DiurnalTrace(
-        minutes=arrays["minutes"],
-        search_load=arrays["search_load"],
-        background_utilization=arrays["background_utilization"],
-    )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -281,6 +284,58 @@ class TestJointEvalParity:
             if a.ok:
                 assert a.unwrap().total_watts == b.unwrap().total_watts
                 assert a.unwrap().violation_rate == b.unwrap().violation_rate
+
+    def test_fused_infeasible_group_charges_the_solve_time(self, tmp_path):
+        """A group whose shared consolidation solve is infeasible reports
+        task time like its scalar twins: each member carries its share
+        of the solve, never 0."""
+        import repro.exec.ops  # noqa: F401 — registers the batch spec
+        from repro.core.joint import JointSimParams
+
+        params = JointSimParams(sim_cores=1, duration_s=2.0, warmup_s=0.5)
+        tasks = [
+            SweepTask.make(
+                "joint-eval", arity=4, constraint_ms=L, background=0.5,
+                level=3, utilization=0.3, governor="eprons-server",
+                params=params, traffic_seed=1,
+            )
+            for L in (25.0, 40.0, 55.0)
+        ]
+        fused = run_sweep(tasks, ctx=_ctx(tmp_path, batch=True))
+        assert all(o.infeasible for o in fused)
+        assert all(o.duration_s > 0.0 for o in fused)
+        scalar = run_sweep(tasks, ctx=_ctx(tmp_path, batch=False))
+        assert [o.error for o in fused] == [o.error for o in scalar]
+
+    def test_fresh_process_fuses_without_importing_ops(self):
+        """A driver that imports only ``repro.exec`` still gets fused
+        dispatch: the batch specs register before the first round."""
+        script = (
+            "import sys\n"
+            "from repro.core.joint import JointSimParams\n"
+            "from repro.exec import ExecContext, SweepTask, executor, run_sweep\n"
+            "assert 'repro.exec.ops' not in sys.modules\n"
+            "fused = []\n"
+            "inner = executor._run_round\n"
+            "def spy(tasks, units, ctx, timeout_s):\n"
+            "    fused.extend(u.fused for u in units)\n"
+            "    return inner(tasks, units, ctx, timeout_s)\n"
+            "executor._run_round = spy\n"
+            "params = JointSimParams(sim_cores=1, duration_s=2.0, warmup_s=0.5)\n"
+            "tasks = [SweepTask.make('joint-eval', arity=4, constraint_ms=L,\n"
+            "    background=0.5, level=3, utilization=0.3,\n"
+            "    governor='eprons-server', params=params, traffic_seed=1)\n"
+            "    for L in (25.0, 40.0)]\n"
+            "run_sweep(tasks, ctx=ExecContext(cache=False))\n"
+            "print(fused)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, env=env, cwd=root,
+        )
+        assert out.stdout.strip() == "[True]"
 
     def test_joint_eval_is_registered_batchable(self):
         import repro.exec.ops  # noqa: F401 — registers the spec

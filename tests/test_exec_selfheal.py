@@ -1,9 +1,12 @@
-"""Self-healing executor: retries, timeouts, journal and resume."""
+"""Self-healing executor: retries, timeouts, journal and resume, plus
+per-worker setup hoisting and the leftover-segment sweeper."""
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -16,9 +19,11 @@ from repro.exec import (
     RunJournal,
     SweepTask,
     run_sweep,
+    sweep_orphans,
     sweep_stats,
     task_fn,
 )
+from repro.exec.orphans import SEG_PREFIX
 
 
 @task_fn("test/selfheal-exit")
@@ -267,46 +272,118 @@ class TestJournalResume:
                 x = o.task.kwargs["x"]
                 assert executions(tmp_path, f"count-{x}.log") == 1
 
-    def test_pool_crash_leaks_no_shm_segments(self, tmp_path):
-        """Chaos x fabric: a worker hard-exits mid-sweep while the
-        parent has shared-memory artifacts published.  The dead worker
-        must not tear the parent's segments down, and executor shutdown
-        must leave /dev/shm clean."""
-        import numpy as np
 
-        from repro.exec import shutdown_shared_store
-        from repro.exec.shm import SEG_PREFIX
-        from repro.workloads.diurnal import DiurnalTrace
-        from repro.workloads.traceio import publish_shared_trace
+# -- pool-initializer hoisting -------------------------------------------------
 
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("needs a POSIX shm filesystem")
 
-        trace = DiurnalTrace(
-            minutes=np.arange(6.0),
-            search_load=np.full(6, 0.5),
-            background_utilization=np.full(6, 0.2),
+@task_fn("test/worker-metrics")
+def _worker_metrics(*, x):
+    from repro.exec import executor, registry
+
+    return {
+        "pid": os.getpid(),
+        "inits": executor._WORKER_INIT_COUNT,
+        "preloads": registry.PRELOAD_PASSES,
+        "executed": executor._TASKS_EXECUTED,
+    }
+
+
+class TestPoolInitHoisting:
+    def test_worker_initializes_once_for_many_tasks(self, tmp_path):
+        """Regression for the per-task startup waste: registry import
+        and context/cache setup must run once per worker process, not
+        once per task."""
+        tasks = [SweepTask.make("test/worker-metrics", x=x) for x in range(8)]
+        ctx = ExecContext(jobs=2, cache=False, cache_dir=str(tmp_path))
+        outs = run_sweep(tasks, ctx=ctx)
+        reports = [o.unwrap() for o in outs]
+
+        by_pid: dict[int, list[dict]] = {}
+        for rep in reports:
+            by_pid.setdefault(rep["pid"], []).append(rep)
+        assert by_pid, "no worker reports collected"
+        for pid, reps in by_pid.items():
+            # The initializer ran exactly once in this worker...
+            assert {r["inits"] for r in reps} == {1}, f"worker {pid} re-inited"
+            # ...and op-module preloading never re-ran per task.
+            assert len({r["preloads"] for r in reps}) == 1
+        # Every task actually executed (the counter is per-process).
+        total = sum(max(r["executed"] for r in reps) for reps in by_pid.values())
+        assert total == len(tasks)
+
+
+# -- leftover shared-memory segments -------------------------------------------
+
+SEGMENT_DIR = "/dev/shm"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir(SEGMENT_DIR), reason="needs a POSIX shared-memory filesystem"
+)
+class TestSweeper:
+    """Segments named ``repro-shm-<pid>-<digest>`` were created by
+    earlier versions; the sweeper reaps those of dead owners."""
+
+    @staticmethod
+    def _touch(name: str) -> str:
+        path = os.path.join(SEGMENT_DIR, name)
+        with open(path, "w") as fh:
+            fh.write("x")
+        return path
+
+    def test_sweeper_is_exported(self):
+        from repro.exec import orphans
+
+        assert sweep_orphans is orphans.sweep_orphans
+        assert isinstance(sweep_orphans(), list)
+
+    def test_dead_owner_segment_is_reaped(self):
+        # A child process creates a segment in the old naming scheme
+        # and dies without cleanup: the canonical orphan.
+        child = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import os\n"
+                "from multiprocessing import shared_memory, resource_tracker\n"
+                "seg = shared_memory.SharedMemory(\n"
+                f"    name=f'{SEG_PREFIX}-{{os.getpid()}}-deadbeefcafebabe',\n"
+                "    create=True, size=64)\n"
+                "resource_tracker.unregister(seg._name, 'shared_memory')\n"
+                "print(seg.name)\n"
+                "os._exit(0)\n",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
         )
-        key, manifest = publish_shared_trace(trace)
-        assert os.path.exists(os.path.join("/dev/shm", manifest.segment))
+        orphan = child.stdout.strip()
+        assert os.path.exists(os.path.join(SEGMENT_DIR, orphan))
+        # A live owner's segment (here: our parent's pid) is never touched.
+        live = self._touch(f"{SEG_PREFIX}-{os.getppid()}-livelivelivelive")
+        try:
+            removed = sweep_orphans()
+            assert orphan in removed
+            assert not os.path.exists(os.path.join(SEGMENT_DIR, orphan))
+            assert os.path.exists(live)
+        finally:
+            os.unlink(live)
 
-        ctx = _ctx(tmp_path, jobs=2, cache=False)
-        tasks = self.make_tasks(tmp_path, xs=(21, 22, 23)) + [
-            SweepTask.make("test/selfheal-exit", x=31)
-        ]
-        outcomes = run_sweep(tasks, ctx=ctx)
-        assert any(o.status == "error" for o in outcomes)
+    def test_own_pid_segment_is_reaped(self):
+        """Pid-reuse orphan: a segment named with *our* pid was left by
+        a dead incarnation of this pid, since this process creates none."""
+        name = f"{SEG_PREFIX}-{os.getpid()}-feedfacefeedface"
+        path = self._touch(name)
+        assert name in sweep_orphans()
+        assert not os.path.exists(path)
 
-        # The killed worker's death did not unlink the parent's segment
-        # (bpo-39959 would have let its resource tracker do exactly that).
-        assert os.path.exists(os.path.join("/dev/shm", manifest.segment))
-
-        shutdown_shared_store()
-        assert not os.path.exists(os.path.join("/dev/shm", manifest.segment))
-        # Nothing else of ours lingers either.
-        leaked = [
-            n
-            for n in os.listdir("/dev/shm")
-            if n.startswith(f"{SEG_PREFIX}-{os.getpid()}-")
-        ]
-        assert leaked == [], f"leaked shm segments: {leaked}"
+    def test_foreign_names_are_ignored(self):
+        paths = [self._touch(f"{SEG_PREFIX}-notapid-x"), self._touch("other-1-x")]
+        try:
+            removed = sweep_orphans()
+            assert f"{SEG_PREFIX}-notapid-x" not in removed
+            assert "other-1-x" not in removed
+            assert all(os.path.exists(p) for p in paths)
+        finally:
+            for p in paths:
+                os.unlink(p)

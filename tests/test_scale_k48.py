@@ -1,11 +1,10 @@
-"""k=48 / ~10^5-flow scale test for the delta + shm control plane.
+"""k=48 / ~10^5-flow scale test for the delta control plane.
 
 ROADMAP item 1 names this scale as the remaining validation for the
 churn-proportional control plane: a k=48 fat tree (27 648 hosts) with
 ~10^5 background flows, consolidated by :class:`DeltaConsolidator`
 epochs, with ``diff_routings(unchanged=...)`` riding the engine's
-proven-unchanged ids, and the compiled topology index published and
-re-attached through the shared-memory fabric.
+proven-unchanged ids.
 
 The unconstrained version of this problem is intractable: ~10^5 flows
 over random host pairs is ~10^5 *distinct* pairs, each with (k/2)^2 =
@@ -27,14 +26,8 @@ import pytest
 from repro.consolidation import DeltaConsolidator
 from repro.consolidation.delta import MODE_DELTA, MODE_FULL
 from repro.control.rules import diff_routings
-from repro.exec.shm import SharedArtifactStore, attach_manifests, shutdown_shared_store
 from repro.flows.flow import Flow, FlowClass
 from repro.flows.traffic import TrafficSet
-from repro.netfast.index import (
-    clear_index_registry,
-    publish_shared_index,
-    topology_index,
-)
 from repro.topology.fattree import FatTree
 
 pytestmark = pytest.mark.slow
@@ -161,32 +154,3 @@ def test_sharded_cold_solve_at_scale(scale_run):
     st = cons.last_sharded_stats
     assert st is not None and st.n_shards == 4 and st.jobs == 4
     assert elapsed < stats[0].solve_time_s * 4.0
-
-
-def test_topology_index_publishes_and_grafts_through_shm(scale_run):
-    ft, pairs = scale_run["ft"], scale_run["pairs"]
-    idx = topology_index(ft)
-    sample = pairs[:5]
-    reference = {pair: idx.path_set(*pair).node_paths for pair in sample}
-    assert all(len(paths) == (K // 2) ** 2 for paths in reference.values())
-
-    store = SharedArtifactStore()
-    try:
-        manifest = publish_shared_index(idx, store=store)
-        assert manifest is not None
-
-        # A "worker": fresh registry, arrays restored from the segment.
-        clear_index_registry()
-        assert attach_manifests([manifest]) == 1
-        idx2 = topology_index(FatTree(K))
-        assert idx2 is not idx
-        for pair in sample:
-            ps = idx2.path_set(*pair)
-            assert ps.node_paths == reference[pair]
-            assert not ps.dlinks.flags.writeable  # zero-copy shm view
-    finally:
-        # Drop every reference into the segments before unlinking them,
-        # so no later test can touch a closed mapping.
-        clear_index_registry()
-        shutdown_shared_store()
-        store.unlink_all()
