@@ -19,47 +19,38 @@ engine at ``drift_bound=0`` must produce results bit-identical (SHA-256
 over routing/subnet/objective) to the full engine on the same epoch
 sequence.
 
-With ``--engine sharded`` each arity additionally times the *cold*
-full solve (fresh consolidator, path sets not yet compiled — the
-worst-case control-plane tail the delta engine falls back to) against
-the pod-sharded engine at each ``--shards`` count, asserting the
-``shards=1`` digest is bit-identical to the indexed solve; ``--k48``
-appends a cold-solve-only row on a k=48 fabric with 10^5 background
-flows.
+Each arity also times the *cold* full solve — a fresh consolidator on
+a content-identical topology whose path sets are not yet compiled, the
+worst-case control-plane tail the delta engine falls back to — as the
+median of ``REPEATS`` runs, next to the same consolidator's warm repeat
+solve.
 
 Run as a module (repository root on ``sys.path``, ``src`` on
 ``PYTHONPATH``)::
 
-    PYTHONPATH=src python -m benchmarks.bench_control --k 8 16
-    PYTHONPATH=src python -m benchmarks.bench_control --quick --engine sharded  # CI smoke
-    PYTHONPATH=src python -m benchmarks.bench_control --engine sharded --k48
+    PYTHONPATH=src python -m benchmarks.bench_control --k 8 16 32
+    PYTHONPATH=src python -m benchmarks.bench_control --quick  # CI smoke
 
-Emits ``BENCH_control.json``.  Targets: at k=16+ under 10 % churn the
+Emits ``BENCH_control.json``.  Target: at k=16+ under 10 % churn the
 delta engine's steady-state epoch decision is >= 5x faster than the
-full solve (and stays sub-second at k=32); the sharded engine is
->= 3x faster than the indexed cold solve at k=32 with >= 4 jobs.
+full solve (and stays sub-second at k=32).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
+import os
 import platform
+import statistics
 import time
 
-import numpy as np
-
-from repro.consolidation import (
-    DeltaConsolidator,
-    GreedyConsolidator,
-    shutdown_shard_pool,
-)
+from repro.consolidation import DeltaConsolidator, GreedyConsolidator
 from repro.control.rules import diff_routings
-from repro.netfast import clear_index_registry
 from repro.flows.dynamics import FlowChurnModel
-from repro.flows.flow import Flow, FlowClass
-from repro.flows.traffic import TrafficSet
+from repro.netfast import clear_index_registry
 from repro.topology.fattree import FatTree
 from repro.workloads.search import SearchWorkload
 
@@ -73,6 +64,8 @@ BACKGROUND_UTILIZATION = 0.2
 SEED = 1
 DRIFT_BOUND = 0.5
 N_EQUIVALENCE_EPOCHS = 3
+#: Cold/warm full-solve repeats per arity.
+REPEATS = 3
 
 
 def result_digest(result) -> str:
@@ -196,118 +189,48 @@ def _cold_copy(ft):
     return FatTree(ft.k)
 
 
-def bench_sharded(ft, traffic, shards_list, jobs_override=None) -> dict:
-    """Cold/full-solve scaling of the sharded engine vs the indexed one.
-
-    ``cold_full_s`` is a fresh indexed consolidator's first solve on a
-    cold process (path caches and the process-wide compiled-index
-    registry cold — the control-plane tail this engine exists to kill);
-    ``warm_full_s`` is the same consolidator's repeat solve, the
-    steady-state full-epoch figure.  Per shard count the block reports
-    the first sharded solve on an equally cold slate (``sharded_cold_s``:
-    worker pool, worker path caches and parent index all cold) and the
-    steady-state repeat (``sharded_s``: live pool, warm caches — the
-    per-epoch figure a long-running controller sees).  ``shards=1``
-    carries the bit-identity contract and is asserted against the
-    indexed digest here, on every bench run.
-    """
-    indexed = GreedyConsolidator(_cold_copy(ft))
-    t0 = time.perf_counter()
-    reference = indexed.consolidate(traffic, SCALE_FACTOR)
-    cold_full_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    indexed.consolidate(traffic, SCALE_FACTOR)
-    warm_full_s = time.perf_counter() - t0
-    ref_digest = result_digest(reference)
-    print(f"    indexed: cold={cold_full_s:7.2f}s warm={warm_full_s:7.2f}s")
-
-    # the engine clamps shards to the core-group count; dropping the
-    # excess here keeps the rows honestly labeled
-    shards_list = [s for s in shards_list if s <= ft.n_core_groups] or [1]
-    points = []
-    for n_shards in shards_list:
-        jobs = jobs_override if jobs_override is not None else max(1, n_shards)
-        shutdown_shard_pool()
-        cons = GreedyConsolidator(
-            _cold_copy(ft), engine="sharded", shards=n_shards, shard_jobs=jobs
-        )
-        t0 = time.perf_counter()
-        cold = cons.consolidate(traffic, SCALE_FACTOR)
-        sharded_cold_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm = cons.consolidate(traffic, SCALE_FACTOR)
-        sharded_s = time.perf_counter() - t0
-        if result_digest(warm) != result_digest(cold):
-            raise AssertionError(
-                f"sharded engine is not deterministic across repeats "
-                f"(shards={n_shards}, jobs={jobs})"
-            )
-        if n_shards == 1 and result_digest(cold) != ref_digest:
-            raise AssertionError(
-                "shards=1 sharded result diverged from the indexed engine "
-                "(bit-identity contract)"
-            )
-        stats = cons.last_sharded_stats
-        drift = (
-            cold.objective_watts - reference.objective_watts
-        ) / max(reference.objective_watts, 1e-12)
-        points.append(
-            {
-                "shards": n_shards,
-                "jobs": jobs,
-                "sharded_cold_s": sharded_cold_s,
-                "sharded_s": sharded_s,
-                "speedup_cold": cold_full_s / sharded_cold_s,
-                "speedup": cold_full_s / sharded_s,
-                "speedup_warm": warm_full_s / sharded_s,
-                "objective_drift": drift,
-                "digest_matches_indexed": n_shards == 1,
-                "n_interpod": stats.n_interpod,
-                "n_intrapod": stats.n_intrapod,
-                "n_spilled": stats.n_spilled,
-                "n_rescued": stats.n_rescued,
-            }
-        )
-        print(
-            f"    sharded s={n_shards} j={jobs}: cold={sharded_cold_s:7.2f}s "
-            f"warm={sharded_s:7.2f}s speedup={cold_full_s / sharded_s:4.1f}x "
-            f"(cold {cold_full_s / sharded_cold_s:4.1f}x) drift={drift:+.3f}"
-        )
-    shutdown_shard_pool()
+def _spread(runs: list[float]) -> dict:
     return {
-        "n_flows": len(traffic),
-        "cold_full_s": cold_full_s,
-        "warm_full_s": warm_full_s,
-        "drift_bound": 0.5,
-        "points": points,
+        "median_s": statistics.median(runs),
+        "min_s": min(runs),
+        "max_s": max(runs),
+        "runs_s": runs,
     }
 
 
-def scale_traffic_k48(
-    k: int = 48, n_pairs: int = 400, n_flows: int = 100_000,
-    demand_bps: float = 1e5, seed: int = 7,
-):
-    """Bounded-pair background traffic at k=48 — the same construction
-    as ``tests/test_scale_k48.py`` (many flows per pair, as with
-    aggregated service traffic; an unconstrained 10^5-pair instance
-    would be path-cache-intractable for *any* engine)."""
-    ft = FatTree(k)
-    hosts = sorted(ft.hosts)
-    rng = np.random.default_rng(seed)
-    drawn = rng.choice(len(hosts), size=(n_pairs, 2))
-    pairs = [(hosts[s], hosts[d]) for s, d in drawn if hosts[s] != hosts[d]]
-    flows = [
-        Flow(
-            f"bg-{i}", *pairs[i % len(pairs)], demand_bps=demand_bps,
-            flow_class=FlowClass.LATENCY_TOLERANT,
-        )
-        for i in range(n_flows)
-    ]
-    return ft, TrafficSet(flows)
+def bench_cold(ft, traffic, repeats: int) -> dict:
+    """Cold vs warm full solve of one epoch.
+
+    Each repeat solves ``traffic`` with a fresh consolidator on a cold
+    copy of ``ft`` (``cold_full_s``: index, path sets and pair caches
+    all built inside the timed solve), then solves it again with the
+    same consolidator (``warm_full_s``: the steady-state full-epoch
+    figure).  Every repeat must commit the same result.
+    """
+    cold, warm, digests = [], [], set()
+    for _ in range(repeats):
+        cons = GreedyConsolidator(_cold_copy(ft))
+        gc.collect()
+        t0 = time.perf_counter()
+        result = cons.consolidate(traffic, SCALE_FACTOR)
+        cold.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        cons.consolidate(traffic, SCALE_FACTOR)
+        warm.append(time.perf_counter() - t0)
+        digests.add(result_digest(result))
+        # Free this copy's index before the next one compiles its own.
+        del cons
+    if len(digests) != 1:
+        raise AssertionError("cold full solves disagree across repeats")
+    return {
+        "n_flows": len(traffic),
+        "repeats": repeats,
+        "cold_full_s": _spread(cold),
+        "warm_full_s": _spread(warm),
+    }
 
 
-def bench_arity(k: int, churn_rates, n_epochs: int, engine: str = "indexed",
-                shards_list=(1, 2, 4, 8), jobs=None) -> dict:
+def bench_arity(k: int, churn_rates, n_epochs: int) -> dict:
     row: dict = {"k": k, "n_hosts": FatTree(k).n_hosts, "points": []}
     for rate in churn_rates:
         ft, epochs = epoch_traffic(k, rate, n_epochs)
@@ -320,10 +243,12 @@ def bench_arity(k: int, churn_rates, n_epochs: int, engine: str = "indexed",
             f"(churned~{point['mean_churned_flows']:.0f}/{point['n_flows']} flows, "
             f"{point['delta_epoch_fraction']:.0%} delta epochs)"
         )
-    if engine == "sharded":
-        ft, epochs = epoch_traffic(k, churn_rates[0], 1)
-        print(f"  k={k} sharded cold-solve scaling:")
-        row["sharded"] = bench_sharded(ft, epochs[0], shards_list, jobs)
+    ft, epochs = epoch_traffic(k, churn_rates[0], 1)
+    row["full_solve"] = cold = bench_cold(ft, epochs[0], REPEATS)
+    print(
+        f"  k={k} full solve: cold={cold['cold_full_s']['median_s']:7.2f}s "
+        f"warm={cold['warm_full_s']['median_s']:7.2f}s (median of {REPEATS})"
+    )
     return row
 
 
@@ -335,60 +260,24 @@ def main(argv=None) -> None:
     parser.add_argument(
         "--quick", action="store_true", help="CI smoke: k=8 only, 8 epochs"
     )
-    parser.add_argument(
-        "--engine", choices=("indexed", "sharded"), default="indexed",
-        help="'sharded' adds the per-arity cold-solve scaling block "
-        "(cold_full_s vs sharded_s per shard count, shards=1 digest assert)",
-    )
-    parser.add_argument(
-        "--shards", type=int, nargs="+", default=[1, 2, 4, 8],
-        help="shard counts for the sharded scaling block",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker-pool size for the sharded block (default: one per shard)",
-    )
-    parser.add_argument(
-        "--k48", action="store_true",
-        help="append a k=48 cold-only sharded row (bounded-pair traffic, "
-        "10^5 flows; slow)",
-    )
     parser.add_argument("--out", default="BENCH_control.json")
     args = parser.parse_args(argv)
     if args.quick:
         args.k = [8]
         args.epochs = 8
-        args.shards = [s for s in args.shards if s <= 4]
 
     results = []
     for k in args.k:
         print(f"k={k}:")
-        results.append(
-            bench_arity(
-                k, args.churn, args.epochs,
-                engine=args.engine, shards_list=args.shards, jobs=args.jobs,
-            )
-        )
-
-    if args.k48:
-        print("k=48 (cold-only, bounded-pair):")
-        ft48, traffic48 = scale_traffic_k48()
-        results.append(
-            {
-                "k": 48,
-                "n_hosts": ft48.n_hosts,
-                "cold_only": True,
-                "points": [],
-                "sharded": bench_sharded(ft48, traffic48, args.shards, args.jobs),
-            }
-        )
+        results.append(bench_arity(k, args.churn, args.epochs))
 
     payload = {
         "benchmark": "bench_control",
         "scale_factor": SCALE_FACTOR,
         "background_utilization": BACKGROUND_UTILIZATION,
+        "repeats": REPEATS,
         "python": platform.python_version(),
-        "machine": platform.machine(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
         "results": results,
     }
     with open(args.out, "w") as fh:

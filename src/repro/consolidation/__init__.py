@@ -12,12 +12,8 @@ from .elastictree import ElasticTreeConsolidator
 from .heuristic import GreedyConsolidator, route_on_subnet
 from .milp import MilpConsolidator
 from .repair import LocalRepair, local_repair, stranded_flows
-from .sharded import SHARDED_DRIFT_BOUND, ShardedStats, shutdown_shard_pool
 
 __all__ = [
-    "ShardedStats",
-    "SHARDED_DRIFT_BOUND",
-    "shutdown_shard_pool",
     "ConsolidationResult",
     "Consolidator",
     "validate_result",

@@ -165,15 +165,12 @@ class DeltaConsolidator(Consolidator):
     Parameters
     ----------
     topology_or_inner:
-        Either a :class:`~repro.topology.graph.Topology` (a
-        :class:`GreedyConsolidator` with the requested ``engine`` is
-        built internally) or an existing indexed- or sharded-engine
-        greedy consolidator to wrap — with ``engine="sharded"`` every
-        rung of the fallback ladder dispatches its full solve to the
-        pod-sharded parallel engine, which is what bounds the
-        control plane's worst-case epoch at scale.  The wrapped
-        consolidator becomes *owned*: calling its ``consolidate``
-        directly between delta epochs corrupts the warm state.
+        Either a :class:`~repro.topology.graph.Topology` (an
+        indexed-engine :class:`GreedyConsolidator` is built internally)
+        or an existing indexed-engine greedy consolidator to wrap.  The
+        wrapped consolidator becomes *owned*: calling its
+        ``consolidate`` directly between delta epochs corrupts the warm
+        state.
     drift_bound:
         Maximum accumulated regret fraction before a full-solve refresh.
         Regret is accounted against the last full solve's objective — a
@@ -198,9 +195,6 @@ class DeltaConsolidator(Consolidator):
         safety_margin_bps: float = 50e6,
         switch_model=None,
         link_model=None,
-        engine: str = "indexed",
-        shards: int = 4,
-        shard_jobs: int | None = None,
     ):
         if isinstance(topology_or_inner, GreedyConsolidator):
             inner = topology_or_inner
@@ -210,18 +204,15 @@ class DeltaConsolidator(Consolidator):
                 safety_margin_bps=safety_margin_bps,
                 switch_model=switch_model,
                 link_model=link_model,
-                engine=engine,
-                shards=shards,
-                shard_jobs=shard_jobs,
             )
         else:
             raise ConfigurationError(
                 "DeltaConsolidator wraps a Topology or a GreedyConsolidator, "
                 f"got {type(topology_or_inner).__name__}"
             )
-        if inner.engine not in ("indexed", "sharded"):
+        if inner.engine != "indexed":
             raise ConfigurationError(
-                "delta consolidation requires the indexed or sharded greedy "
+                "delta consolidation requires the indexed greedy "
                 f"engine (got engine={inner.engine!r}); the reference engine "
                 "has no incremental packing state"
             )
@@ -494,7 +485,7 @@ class DeltaConsolidator(Consolidator):
             row, slack_row = picked
             state.place_tracked(ps, row, slack_row)
             warm.records[flow.flow_id] = _Record(flow, ps, row, reservations[row].copy())
-            warm.paths[flow.flow_id] = ps.node_paths[row]
+            warm.paths[flow.flow_id] = ps.node_path(row)
 
         subnet = ActiveSubnet(
             self.topology, state.active_switch_names(), state.active_link_names()
@@ -536,7 +527,7 @@ class DeltaConsolidator(Consolidator):
         for fid, (flow, ps, row, reservations_row) in log.items():
             state.count_placement(ps, row)
             records[fid] = _Record(flow, ps, row, reservations_row)
-            paths[fid] = ps.node_paths[row]
+            paths[fid] = ps.node_path(row)
         self._warm = _WarmState(
             records=records,
             paths=paths,

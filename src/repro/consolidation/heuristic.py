@@ -82,7 +82,7 @@ PAIR_CACHE_MAX = 65536
 class GreedyConsolidator(Consolidator):
     """First-fit-decreasing, leftmost-path greedy consolidator."""
 
-    ENGINES = ("indexed", "reference", "sharded")
+    ENGINES = ("indexed", "reference")
 
     def __init__(
         self,
@@ -92,9 +92,6 @@ class GreedyConsolidator(Consolidator):
         link_model=None,
         allowed_subnet: ActiveSubnet | None = None,
         engine: str = "indexed",
-        shards: int = 4,
-        shard_jobs: int | None = None,
-        shard_min_multiplicity: int = 4,
         pair_cache_max: int = PAIR_CACHE_MAX,
     ):
         super().__init__(topology, safety_margin_bps, switch_model, link_model)
@@ -102,22 +99,10 @@ class GreedyConsolidator(Consolidator):
             raise InfeasibleError("allowed_subnet belongs to a different topology")
         if engine not in self.ENGINES:
             raise ConfigurationError(f"unknown engine {engine!r}; known: {self.ENGINES}")
-        if shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {shards}")
-        if shard_jobs is not None and shard_jobs < 1:
-            raise ConfigurationError(f"shard_jobs must be >= 1, got {shard_jobs}")
         if pair_cache_max < 1:
             raise ConfigurationError(f"pair_cache_max must be >= 1, got {pair_cache_max}")
         self.allowed_subnet = allowed_subnet
         self.engine = engine
-        #: Sharded engine: shard count (clamped to the tree's core-group
-        #: count), worker count (None: one per shard) and the pair-class
-        #: multiplicity at which the batch kernel opens a session.
-        self.shards = shards
-        self.shard_jobs = shard_jobs
-        self.shard_min_multiplicity = shard_min_multiplicity
-        #: Per-solve telemetry of the last sharded packing attempt.
-        self.last_sharded_stats = None
         # Path enumeration is pure topology; cache across consolidate() calls
         # (the controller re-runs every 10 simulated minutes).  Bounded
         # LRU — long multi-workload sweeps must not grow it forever.
@@ -293,10 +278,6 @@ class GreedyConsolidator(Consolidator):
     ) -> ConsolidationResult:
         if self.engine == "indexed":
             return self._pack_once_indexed(traffic, scale_factor, attempt, priority, excluded)
-        if self.engine == "sharded":
-            from .sharded import pack_sharded
-
-            return pack_sharded(self, traffic, scale_factor, attempt, priority, excluded)
         return self._pack_once_reference(traffic, scale_factor, attempt, priority, excluded)
 
     # -- indexed engine ---------------------------------------------------------
@@ -380,7 +361,7 @@ class GreedyConsolidator(Consolidator):
             if picked is None:
                 raise _stranded(flow, scale_factor)
             row, slack_row = picked
-            paths[flow.flow_id] = ps.node_paths[row]
+            paths[flow.flow_id] = ps.node_path(row)
             state.place(ps, row, slack_row)
             if log is not None:
                 log[flow.flow_id] = (flow, ps, row, reservations[row].copy())

@@ -475,14 +475,11 @@ class SdnController:
         still carry the load that was actually seen.
         """
         observed = self.monitor.observed_traffic(offered_traffic)
-        # The replay model only distinguishes indexed vs reference; the
-        # sharded solve engine replays through the indexed model.
-        cons_engine = getattr(self.consolidator, "engine", "indexed")
         model = NetworkModel(
             self.consolidator.topology,
             observed,
             candidate,
-            engine="reference" if cons_engine == "reference" else "indexed",
+            engine=getattr(self.consolidator, "engine", "indexed"),
         )
         return model.max_utilization()
 

@@ -112,9 +112,6 @@ def consolidate_op(
     level: int = 0,
     scale_factor: float = 1.0,
     best_effort: bool = False,
-    engine: str = "indexed",
-    shards: int = 4,
-    shard_jobs: int | None = None,
 ):
     """Solve one consolidation instance.
 
@@ -126,12 +123,6 @@ def consolidate_op(
       ``scale_factor``;
     * ``"elastictree"`` — bandwidth-only baseline.
 
-    ``engine`` selects the greedy solve engine (``"indexed"``,
-    ``"reference"``, or ``"sharded"`` — the pod-sharded parallel full
-    solve, with ``shards`` / ``shard_jobs`` sizing it).  Callers keep
-    it out of the spec when it is ``"indexed"`` so cached results stay
-    addressable under their historical keys.
-
     Raises :class:`~repro.errors.InfeasibleError` when the instance
     cannot be packed — the executor records that as a legitimate
     "infeasible" outcome, and the cache remembers it.
@@ -142,9 +133,7 @@ def consolidate_op(
         subnet = aggregation_policy(workload.topology, level)
         return route_on_subnet(subnet, traffic)
     if scheme == "greedy":
-        consolidator = GreedyConsolidator(
-            workload.topology, engine=engine, shards=shards, shard_jobs=shard_jobs
-        )
+        consolidator = GreedyConsolidator(workload.topology)
         return consolidator.consolidate(traffic, scale_factor, best_effort_scale=best_effort)
     if scheme == "elastictree":
         consolidator = ElasticTreeConsolidator(workload.topology)
@@ -536,7 +525,6 @@ def joint_eval_op(
     governor: str,
     params: JointSimParams,
     traffic_seed: int,
-    consolidation_engine: str = "indexed",
 ) -> JointEvaluation:
     """Price one (aggregation level, load, governor) operating point
     end to end — the Fig. 13 / datacenter-scale unit of work.
@@ -544,20 +532,12 @@ def joint_eval_op(
     The consolidation solve goes through the shared cache, so the eight
     constraint points of one fig13 background level all reuse a single
     routing, as does any other figure at the same traffic spec.
-
-    ``consolidation_engine`` forwards to the consolidate op (and into
-    its cache key) only when it is not ``"indexed"`` — drivers likewise
-    keep the default out of the task spec, so historical cache entries
-    and the fused batch grouping are untouched.
     """
     workload = workload_for(arity, constraint_ms)
-    spec = dict(
+    consolidation = _cached_consolidation(
         arity=arity, scheme="aggregation", level=level,
         background=background, traffic_seed=traffic_seed,
     )
-    if consolidation_engine != "indexed":
-        spec["engine"] = consolidation_engine
-    consolidation = _cached_consolidation(**spec)
     traffic = workload.traffic(background, seed_or_rng=traffic_seed)
     return evaluate_operating_point(
         workload,

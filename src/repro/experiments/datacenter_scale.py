@@ -30,18 +30,11 @@ def build_tasks(
     duration_s: float = 8.0,
     seed: int = 1,
     server_engine: str | None = None,
-    consolidation_engine: str = "indexed",
 ) -> list[SweepTask]:
     """The datacenter-scale sweep grid as tasks (also used by
     bench_joint to count fused dispatch units).  ``server_engine=
     "multipoint"`` runs each arity's fused batch as one lockstep DES
-    pass (bit-identical per point).  ``consolidation_engine`` selects
-    the network solve engine; the ``"indexed"`` default stays out of
-    the spec so cache keys and fused grouping are unchanged."""
-    extra = (
-        {} if consolidation_engine == "indexed"
-        else {"consolidation_engine": consolidation_engine}
-    )
+    pass (bit-identical per point)."""
     tasks = []
     for k in arities:
         ft = FatTree(k)
@@ -66,7 +59,6 @@ def build_tasks(
                     governor="eprons-server",
                     params=params,
                     traffic_seed=seed,
-                    **extra,
                 )
             )
         tasks.append(
@@ -81,7 +73,6 @@ def build_tasks(
                 governor="no-pm",
                 params=params,
                 traffic_seed=seed,
-                **extra,
             )
         )
     return tasks
@@ -94,7 +85,6 @@ def run(
     duration_s: float = 8.0,
     seed: int = 1,
     server_engine: str | None = None,
-    consolidation_engine: str = "indexed",
 ) -> ExperimentResult:
     result = ExperimentResult(
         figure="datacenter-scale",
@@ -118,7 +108,6 @@ def run(
     trees = {k: FatTree(k) for k in arities}
     tasks = build_tasks(
         arities, background, utilization, duration_s, seed, server_engine,
-        consolidation_engine,
     )
 
     # Reassemble per arity: cheapest SLA-meeting level vs the no-PM baseline.

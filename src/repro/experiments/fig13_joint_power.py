@@ -41,7 +41,6 @@ def build_tasks(
     include_no_pm: bool = True,
     seed: int = 1,
     server_engine: str | None = None,
-    consolidation_engine: str = "indexed",
 ) -> list[SweepTask]:
     """The fig13 sweep grid as tasks (also used by bench_joint to
     count fused dispatch units without re-deriving the grid).
@@ -50,18 +49,9 @@ def build_tasks(
     the embedded DES engine — ``"multipoint"`` lets a fused batch run
     each background level's whole constraint grid in one lockstep
     pass, bit-identical to the default per-point runs.
-
-    ``consolidation_engine`` selects the network solve engine; the
-    ``"indexed"`` default is kept out of the task spec so historical
-    cache keys and fused grouping are unchanged (a non-default engine
-    dispatches its points scalar).
     """
     params = params or JointSimParams(
         sim_cores=2, duration_s=15.0, warmup_s=3.0, server_engine=server_engine
-    )
-    extra = (
-        {} if consolidation_engine == "indexed"
-        else {"consolidation_engine": consolidation_engine}
     )
 
     def _task(bg, L_ms, scheme_name, level, governor):
@@ -76,7 +66,6 @@ def build_tasks(
             governor=governor,
             params=params,
             traffic_seed=seed,
-            **extra,
         )
 
     tasks = []
@@ -98,7 +87,6 @@ def run(
     include_no_pm: bool = True,
     seed: int = 1,
     server_engine: str | None = None,
-    consolidation_engine: str = "indexed",
 ) -> ExperimentResult:
     result = ExperimentResult(
         figure="fig13",
@@ -123,7 +111,7 @@ def run(
 
     tasks = build_tasks(
         backgrounds, constraints_ms, levels, utilization, params,
-        include_no_pm, seed, server_engine, consolidation_engine,
+        include_no_pm, seed, server_engine,
     )
 
     for outcome in run_sweep(tasks):

@@ -11,8 +11,8 @@ latency sampling and greedy packing run as vectorized array operations:
 
 * :class:`TopologyIndex` — dense node / directed-link ids, per-link
   capacity arrays, and lazily cached per-(src, dst) shortest-path sets
-  as rectangular link-id matrices (analytic pod/core enumeration for
-  fat-trees, networkx fallback otherwise);
+  as rectangular link-id matrices (built in closed form from per-index
+  switch-layer tables for fat-trees, networkx fallback otherwise);
 * :class:`RoutingMatrix` — a CSR flow x directed-link incidence compiled
   from a :class:`~repro.netsim.network.Routing`, turning utilization
   accumulation into one ``np.add.at``;
@@ -26,7 +26,6 @@ leftmost tie-breaking), which ``tests/test_netfast_equivalence.py``
 enforces.
 """
 
-from .batchpack import BatchPacker
 from .index import PathSet, TopologyIndex, clear_index_registry, topology_index
 from .packing import PackingState
 from .routing import RoutingMatrix
@@ -38,5 +37,4 @@ __all__ = [
     "clear_index_registry",
     "RoutingMatrix",
     "PackingState",
-    "BatchPacker",
 ]

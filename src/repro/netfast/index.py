@@ -7,26 +7,33 @@ the canonical orientation ``(u, v)`` with ``u <= v`` and ``2*i + 1`` for
 the reverse — so ``directed_id // 2`` recovers the undirected link and
 parity recovers the orientation.
 
-Shortest-path sets are cached per ordered ``(src, dst)`` pair.  All
+Shortest-path sets are cached per ordered ``(src, dst)`` host pair.  All
 shortest paths between two nodes have the same hop count, so a pair's
 path set is a rectangular matrix of directed-link ids — which is what
 lets the greedy consolidator price every candidate path of a flow in
-one vectorized pass.  Enumeration delegates to
-:func:`repro.topology.paths.shortest_paths`, i.e. the analytic
-pod/core enumeration for fat-tree host pairs and the networkx
-all-shortest-paths fallback for generic graphs, preserving the
-deterministic leftmost order the heuristic's tie-breaking contract
-depends on.
+one vectorized pass.  Rows come in the deterministic leftmost order of
+:func:`repro.topology.paths.shortest_paths`, which the heuristic's
+tie-breaking contract depends on.
+
+Fat-tree host pairs are built in closed form.  A pair's paths follow
+from its pod, edge switch and core group alone, so each
+:class:`TopologyIndex` over a :class:`~repro.topology.fattree.FatTree`
+tabulates the switch-layer node ids and the edge<->aggregation and
+aggregation<->core directed-link ids once (:class:`_FatTreeTables`);
+a pair's matrices are then its two host-link columns around a
+broadcast of those table rows.  Other topologies enumerate with
+networkx and translate names to ids.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..topology.graph import Topology, canonical_link
+from ..errors import ConfigurationError
+from ..topology.fattree import FatTree
+from ..topology.graph import Topology
 from ..topology.paths import shortest_paths
 
 __all__ = [
@@ -37,30 +44,145 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class PathSet:
     """All shortest paths of one (src, dst) pair, as index matrices.
 
     ``n_paths`` may be zero (disconnected generic graphs); every matrix
     is rectangular because all shortest paths share one hop count.
+    Node-name paths are derived on demand (:meth:`node_path`): a
+    consolidation reads one row per placed flow, never the whole set.
     """
 
-    #: Node-name paths in deterministic (leftmost-first) order — the
-    #: exact tuples a :class:`~repro.netsim.network.Routing` stores.
-    node_paths: tuple[tuple[str, ...], ...]
-    #: Directed link ids, shape ``(n_paths, n_hops)``.
-    dlinks: np.ndarray
-    #: Undirected link ids (``dlinks // 2``), same shape.
-    ulinks: np.ndarray
-    #: Node ids of the switches on each path, shape ``(n_paths, n_switches)``.
-    switch_nodes: np.ndarray
-    #: True where a hop touches a host (access links are reserved at
-    #: plain demand, never K-scaled), shape ``(n_paths, n_hops)``.
-    host_hop: np.ndarray
+    __slots__ = ("dlinks", "ulinks", "switch_nodes", "host_hop", "_ends", "_names", "_rows")
+
+    def __init__(self, dlinks, switch_nodes, host_hop, ends, names):
+        #: Directed link ids, shape ``(n_paths, n_hops)``.
+        self.dlinks: np.ndarray = dlinks
+        #: Undirected link ids (``dlinks // 2``), same shape.
+        self.ulinks: np.ndarray = dlinks // 2
+        #: Node ids of the switches on each path, shape ``(n_paths, n_switches)``.
+        self.switch_nodes: np.ndarray = switch_nodes
+        #: True where a hop touches a host (access links are reserved at
+        #: plain demand, never K-scaled), shape ``(n_paths, n_hops)``.
+        self.host_hop: np.ndarray = host_hop
+        # Host endpoints (the only non-switch nodes a shortest path can
+        # hold: hosts have degree 1) and the index's node names.
+        self._ends: tuple[tuple[str, ...], tuple[str, ...]] = ends
+        self._names: tuple[str, ...] = names
+        self._rows: dict[int, tuple[str, ...]] = {}
 
     @property
     def n_paths(self) -> int:
-        return len(self.node_paths)
+        return self.dlinks.shape[0]
+
+    def node_path(self, row: int) -> tuple[str, ...]:
+        """Path ``row`` as node names — the exact tuple a
+        :class:`~repro.netsim.network.Routing` stores (memoized)."""
+        path = self._rows.get(row)
+        if path is None:
+            head, tail = self._ends
+            names = self._names
+            path = (*head, *[names[i] for i in self.switch_nodes[row].tolist()], *tail)
+            self._rows[row] = path
+        return path
+
+    @property
+    def node_paths(self) -> tuple[tuple[str, ...], ...]:
+        """Every path as node names, in leftmost-first order."""
+        return tuple(self.node_path(r) for r in range(self.n_paths))
+
+
+class _FatTreeTables:
+    """Switch-layer node ids and directed-link ids of one fat-tree.
+
+    Edge switches get a dense index ``E = pod * k/2 + i``.  Tables come
+    in two column orders, each the leftmost order of
+    :func:`~repro.topology.paths.fat_tree_paths` for one pair kind:
+
+    * same-pod paths visit the pod's aggregation switches in *name*
+      order (``a0_10`` sorts before ``a0_2``, so not numeric for
+      k >= 22): ``*_named`` tables;
+    * inter-pod paths visit core groups ``g`` numerically (through each
+      pod's aggregation switch ``g``), then the group's cores in name
+      order: ``*_grouped`` tables and the ``(pod, g, j)`` agg<->core
+      tables.
+    """
+
+    def __init__(self, ft: FatTree, node_id: dict, dlink_id: dict):
+        half = ft.k // 2
+        pods = range(ft.k)
+        edges = [ft.edge_name(p, i) for p in pods for i in range(half)]
+        edge_index = {name: e for e, name in enumerate(edges)}
+        self.half = half
+        self.edge_node = [node_id[e] for e in edges]
+        self.host_edge = [edge_index[ft.attachment_switch(h)] for h in ft.hosts]
+        self.host_up = [dlink_id[(h, edges[e])] for h, e in zip(ft.hosts, self.host_edge)]
+        self.host_down = [dlink_id[(edges[e], h)] for h, e in zip(ft.hosts, self.host_edge)]
+
+        def ids(rows, lookup=dlink_id):
+            return np.array([[lookup[x] for x in row] for row in rows], dtype=np.intp)
+
+        def edge_links(aggs):
+            """(edge->agg, agg->edge) ids per edge switch, over its pod's ``aggs``."""
+            pod_aggs = [aggs[e // half] for e in range(len(edges))]
+            return (
+                ids([[(e, a) for a in row] for e, row in zip(edges, pod_aggs)]),
+                ids([[(a, e) for a in row] for e, row in zip(edges, pod_aggs)]),
+            )
+
+        named = [ft.agg_switches_in_pod(p) for p in pods]
+        self.agg_named = ids(named, node_id)
+        self.up_named, self.down_named = edge_links(named)
+
+        grouped = [[ft.agg_name(p, g) for g in range(half)] for p in pods]
+        cores = [ft.cores_in_group(g) for g in range(half)]
+        self.agg_grouped = ids(grouped, node_id)
+        self.core = ids(cores, node_id)
+        self.up_grouped, self.down_grouped = edge_links(grouped)
+        # (pod, g, j): agg g of the pod <-> core j of group g.
+        self.agg_core = np.stack([ids([[(a, c) for c in cores[g]] for g, a in enumerate(row)]) for row in grouped])
+        self.core_agg = np.stack([ids([[(c, a) for c in cores[g]] for g, a in enumerate(row)]) for row in grouped])
+
+    def matrices(self, s: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(dlinks, switch_nodes)`` of host ids ``s != d``."""
+        es, ed = self.host_edge[s], self.host_edge[d]
+        up, down = self.host_up[s], self.host_down[d]
+        if es == ed:
+            return (
+                np.array([[up, down]], dtype=np.intp),
+                np.array([[self.edge_node[es]]], dtype=np.intp),
+            )
+        pod_s, pod_d = es // self.half, ed // self.half
+        if pod_s == pod_d:
+            shape = (self.half,)
+            links = (up, self.up_named[es], self.down_named[ed], down)
+            switches = (self.edge_node[es], self.agg_named[pod_s], self.edge_node[ed])
+        else:
+            shape = (self.half, self.half)
+            links = (
+                up,
+                self.up_grouped[es][:, None],
+                self.agg_core[pod_s],
+                self.core_agg[pod_d],
+                self.down_grouped[ed][:, None],
+                down,
+            )
+            switches = (
+                self.edge_node[es],
+                self.agg_grouped[pod_s][:, None],
+                self.core,
+                self.agg_grouped[pod_d][:, None],
+                self.edge_node[ed],
+            )
+        return _columns(shape, links), _columns(shape, switches)
+
+
+def _columns(shape: tuple[int, ...], columns) -> np.ndarray:
+    """Broadcast each column over ``shape``; rows flattened C-order."""
+    out = np.empty(shape + (len(columns),), dtype=np.intp)
+    for c, col in enumerate(columns):
+        out[..., c] = col
+    return out.reshape(-1, len(columns))
 
 
 class TopologyIndex:
@@ -97,6 +219,11 @@ class TopologyIndex:
                 self.dlink_touches_host[2 * i] = True
                 self.dlink_touches_host[2 * i + 1] = True
 
+        self._fat_tree = (
+            _FatTreeTables(topology, self.node_id, self.dlink_id)
+            if isinstance(topology, FatTree)
+            else None
+        )
         self._path_sets: dict[tuple[str, str], PathSet] = {}
 
     # -- name <-> id helpers ---------------------------------------------------
@@ -121,35 +248,46 @@ class TopologyIndex:
         return ps
 
     def _build_path_set(self, src: str, dst: str) -> PathSet:
+        if src == dst:
+            raise ConfigurationError("source and destination must differ")
+        s, d = self.node_id[src], self.node_id[dst]
+        ends = (
+            (src,) if s < self.n_hosts else (),
+            (dst,) if d < self.n_hosts else (),
+        )
+        if self._fat_tree is not None and ends[0] and ends[1]:
+            dlinks, switch_nodes = self._fat_tree.matrices(s, d)
+        else:
+            dlinks, switch_nodes = self._enumerate(src, dst)
+        return PathSet(
+            dlinks, switch_nodes, self.dlink_touches_host[dlinks], ends, self.node_names
+        )
+
+    def _enumerate(self, src: str, dst: str) -> tuple[np.ndarray, np.ndarray]:
+        """Generic fallback: networkx enumeration, names -> ids."""
         paths = shortest_paths(self.topology, src, dst)
         if not paths:
-            empty_i = np.empty((0, 0), dtype=np.intp)
-            return PathSet((), empty_i, empty_i, empty_i, np.empty((0, 0), dtype=bool))
-        n_hops = len(paths[0]) - 1
-        dlinks = np.empty((len(paths), n_hops), dtype=np.intp)
-        switch_rows: list[list[int]] = []
-        for r, path in enumerate(paths):
-            for h, (u, v) in enumerate(zip(path[:-1], path[1:])):
-                dlinks[r, h] = self.dlink_id[(u, v)]
-            switch_rows.append(
-                [self.node_id[n] for n in path if self.topology.is_switch(n)]
-            )
-        switch_nodes = np.asarray(switch_rows, dtype=np.intp)
-        if switch_nodes.size == 0:
-            switch_nodes = switch_nodes.reshape(len(paths), 0)
-        return PathSet(
-            node_paths=tuple(paths),
-            dlinks=dlinks,
-            ulinks=dlinks // 2,
-            switch_nodes=switch_nodes,
-            host_hop=self.dlink_touches_host[dlinks],
+            empty = np.empty((0, 0), dtype=np.intp)
+            return empty, empty
+        dlinks = np.array(
+            [[self.dlink_id[hop] for hop in zip(p[:-1], p[1:])] for p in paths],
+            dtype=np.intp,
         )
+        switch_nodes = np.array(
+            [[self.node_id[n] for n in p if self.topology.is_switch(n)] for p in paths],
+            dtype=np.intp,
+        )
+        return dlinks, switch_nodes
 
 
 #: One index per live Topology object; keyed by identity so frozen
 #: topologies shared across consolidators / models reuse one index (and
-#: its path-set cache) without keeping dead topologies alive.
-_TOPO_REFS: "weakref.WeakKeyDictionary[Topology, TopologyIndex]" = weakref.WeakKeyDictionary()
+#: its path-set cache) without keeping dead topologies alive.  Values
+#: are weak too: an index refers to its topology, so a strong value
+#: would keep its own key — and every path set — alive forever.  An
+#: index lives while a consolidator, model or the content registry
+#: holds it.
+_TOPO_REFS: "weakref.WeakKeyDictionary[Topology, weakref.ref]" = weakref.WeakKeyDictionary()
 
 #: Content-fingerprint registry (the ``simfast.shared_table_engine``
 #: pattern): distinct Topology objects with identical structure — the
@@ -172,7 +310,8 @@ def topology_index(topology: Topology) -> TopologyIndex:
     already-compiled matrices (and every cached path set).  Only on a
     genuinely new structure is an index built.
     """
-    idx = _TOPO_REFS.get(topology)
+    ref = _TOPO_REFS.get(topology)
+    idx = ref() if ref is not None else None
     if idx is None:
         key = topology.fingerprint()
         idx = _CONTENT_REGISTRY.pop(key, None)
@@ -181,7 +320,7 @@ def topology_index(topology: Topology) -> TopologyIndex:
             while len(_CONTENT_REGISTRY) >= _MAX_CONTENT_ENTRIES:
                 del _CONTENT_REGISTRY[next(iter(_CONTENT_REGISTRY))]
         _CONTENT_REGISTRY[key] = idx
-        _TOPO_REFS[topology] = idx
+        _TOPO_REFS[topology] = weakref.ref(idx)
     return idx
 
 

@@ -11,8 +11,35 @@ from repro.consolidation import (
 from repro.consolidation.base import link_reservation
 from repro.errors import InfeasibleError
 from repro.flows import Flow, FlowClass, TrafficSet, combined_traffic, search_flows
-from repro.topology import aggregation_policy
+from repro.topology import FatTree, aggregation_policy
 from repro.units import MBPS
+
+FT = FatTree(4)
+FT8 = FatTree(8)
+
+
+def digest(result):
+    """Everything a consolidation decision commits, comparably."""
+    return (
+        sorted(result.routing.items()),
+        sorted(result.subnet.switches_on),
+        sorted(result.subnet.links_on),
+        result.scale_factor,
+        result.objective_watts,
+    )
+
+
+def bench_style_epochs(ft, n_epochs, query_demand_bps=4e6, seed=1):
+    """Fan-in query + churned background at 20 % utilization — the
+    construction (and density) the control benchmark solves."""
+    from repro.flows.dynamics import FlowChurnModel
+    from repro.workloads.search import SearchWorkload
+
+    query = SearchWorkload(ft, query_demand_bps=query_demand_bps).query_flows()
+    churn = FlowChurnModel(
+        ft, mean_lifetime_epochs=10.0, demand_jitter=0.0, seed_or_rng=seed
+    )
+    return [churn.advance(0.2).merged_with(query) for _ in range(n_epochs)]
 
 
 class TestLinkReservation:
@@ -178,3 +205,35 @@ class TestSearchFlowsKExample:
         # 900 Mbps elephant on any switch-switch link (950 usable).
         assert not shares_core_links(res3, "blue")
         assert not shares_core_links(res3, "green")
+
+
+class TestBoundedCaches:
+    """Regression: the per-pair path caches must stay bounded (they
+    used to grow one entry per distinct (src, dst) forever)."""
+
+    def test_pair_cache_evicts(self):
+        cons = GreedyConsolidator(FT8, pair_cache_max=8)
+        hosts = list(FT8.hosts)
+        # a first solve initializes the packing state the pair cache
+        # masks against
+        cons.consolidate(
+            TrafficSet([Flow("f0", hosts[0], hosts[1], 1 * MBPS,
+                             FlowClass.LATENCY_TOLERANT)]),
+            1.0,
+        )
+        for i in range(40):
+            cons._pair(hosts[i], hosts[(i + 17) % len(hosts)])
+        assert len(cons._pair_cache) <= 8
+
+    def test_reference_path_cache_evicts(self):
+        cons = GreedyConsolidator(FT8, engine="reference", pair_cache_max=8)
+        hosts = list(FT8.hosts)
+        for i in range(40):
+            cons._allowed_paths(hosts[i], hosts[(i + 17) % len(hosts)])
+        assert len(cons._allowed_path_cache) <= 8
+
+    def test_engines_still_agree_under_tiny_cache(self):
+        traffic = bench_style_epochs(FT, 1, query_demand_bps=10e6)[0]
+        expected = GreedyConsolidator(FT).consolidate(traffic, 2.0)
+        small = GreedyConsolidator(FT, pair_cache_max=2).consolidate(traffic, 2.0)
+        assert digest(small) == digest(expected)

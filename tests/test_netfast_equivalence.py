@@ -101,12 +101,6 @@ def test_infeasible_raises_identically():
     sub = aggregation_policy(ft, 3)
     messages = {}
     for engine in GreedyConsolidator.ENGINES:
-        if engine == "sharded":
-            # contract: the sharded engine rejects subnet-restricted
-            # routing outright instead of raising InfeasibleError
-            with pytest.raises(ConfigurationError):
-                route_on_subnet(sub, traffic, engine=engine)
-            continue
         with pytest.raises(InfeasibleError) as err:
             route_on_subnet(sub, traffic, engine=engine)
         messages[engine] = str(err.value)
@@ -195,17 +189,12 @@ GOLDEN_UTILIZATION = (
 
 @pytest.mark.parametrize("engine", GreedyConsolidator.ENGINES)
 def test_golden_routing_combined(engine):
-    # sharded carries the bit-identity contract at shards=1 (multi-shard
-    # trades bounded drift for wall-clock and has its own suite)
-    kw = {"shards": 1} if engine == "sharded" else {}
     ft = FatTree(4)
     traffic = combined_traffic(ft, ft.hosts[0], 0.2, seed_or_rng=1)
     for (k, scale), digest in GOLDEN_COMBINED.items():
         assert k == 4
-        res = GreedyConsolidator(ft, engine=engine, **kw).consolidate(traffic, scale)
+        res = GreedyConsolidator(ft, engine=engine).consolidate(traffic, scale)
         assert routing_digest(res) == digest, (engine, scale)
-    if engine == "sharded":
-        return  # rejects subnet-restricted routing by contract
     for (k, level), digest in GOLDEN_COMBINED_SUBNET.items():
         res = route_on_subnet(aggregation_policy(ft, level), traffic, engine=engine)
         assert routing_digest(res) == digest, (engine, level)
@@ -213,12 +202,11 @@ def test_golden_routing_combined(engine):
 
 @pytest.mark.parametrize("engine", GreedyConsolidator.ENGINES)
 def test_golden_routing_workload(engine):
-    kw = {"shards": 1} if engine == "sharded" else {}
     for k in (4, 6):
         ft = FatTree(k)
         traffic = SearchWorkload(ft).traffic(0.2, seed_or_rng=1)
         for scale in (1.0, 2.0):
-            res = GreedyConsolidator(ft, engine=engine, **kw).consolidate(traffic, scale)
+            res = GreedyConsolidator(ft, engine=engine).consolidate(traffic, scale)
             assert routing_digest(res) == GOLDEN_WORKLOAD[(k, scale)], (engine, k, scale)
 
 

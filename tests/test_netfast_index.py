@@ -15,7 +15,7 @@ from repro.netsim.latency import (
     sample_pooled_path_delays,
 )
 from repro.topology.fattree import FatTree
-from repro.topology.paths import shortest_paths
+from repro.topology.paths import fat_tree_paths, shortest_paths
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +88,22 @@ def test_clear_index_registry():
     assert topology_index(FatTree(4)) is not idx
 
 
+def test_index_is_released_with_its_users():
+    """Regression: an index refers to its topology, so holding it as a
+    strong identity-map value kept every index ever built (and all of
+    its path sets) alive for the life of the process."""
+    import gc
+    import weakref
+
+    from repro.netfast import clear_index_registry
+
+    topo = FatTree(4)
+    ref = weakref.ref(topology_index(topo))
+    clear_index_registry()
+    gc.collect()
+    assert ref() is None
+
+
 def test_content_registry_is_bounded():
     import networkx as nx
 
@@ -108,21 +124,81 @@ def test_content_registry_is_bounded():
     assert len(_CONTENT_REGISTRY) <= _MAX_CONTENT_ENTRIES
 
 
-def test_path_set_matches_shortest_paths(ft4):
-    idx = topology_index(ft4)
-    src, dst = ft4.hosts[0], ft4.hosts[-1]
-    ps = idx.path_set(src, dst)
-    paths = shortest_paths(ft4, src, dst)
-    assert ps.node_paths == tuple(paths)
-    assert ps.dlinks.shape == (len(paths), len(paths[0]) - 1)
-    for r, path in enumerate(paths):
-        for h, (u, v) in enumerate(zip(path[:-1], path[1:])):
-            assert idx.dlink_name(int(ps.dlinks[r, h])) == (u, v)
-        switches = [n for n in path if ft4.is_switch(n)]
-        assert [idx.node_names[i] for i in ps.switch_nodes[r]] == switches
-    # First and last hops touch hosts; middle hops do not.
-    assert ps.host_hop[:, 0].all() and ps.host_hop[:, -1].all()
-    assert not ps.host_hop[:, 1:-1].any()
+def _leaf_spine():
+    """A non-fat-tree fabric: 3 leaves x 2 spines, 2 hosts per leaf."""
+    import networkx as nx
+
+    from repro.topology import NodeKind, Topology
+
+    g = nx.Graph()
+    for s in ("s0", "s1"):
+        g.add_node(s, kind=NodeKind.SWITCH)
+    for leaf in range(3):
+        g.add_node(f"l{leaf}", kind=NodeKind.SWITCH)
+        for s in ("s0", "s1"):
+            g.add_edge(f"l{leaf}", s, capacity=1e9)
+        for i in range(2):
+            g.add_node(f"h{leaf}{i}", kind=NodeKind.HOST)
+            g.add_edge(f"h{leaf}{i}", f"l{leaf}", capacity=1e9)
+    return Topology(g)
+
+
+def _sample_pairs(topo, n=20, seed=0):
+    hosts = topo.hosts
+    rng = np.random.default_rng(seed)
+    return [
+        (hosts[s], hosts[d])
+        for s, d in rng.integers(0, len(hosts), size=(n, 2))
+        if s != d
+    ]
+
+
+@pytest.mark.parametrize(
+    "topo, pairs",
+    [
+        pytest.param(
+            FatTree(k),
+            [
+                (FatTree.host_name(0, 0, 0), FatTree.host_name(0, 0, 1)),  # same edge
+                (FatTree.host_name(1, 0, 0), FatTree.host_name(1, k // 2 - 1, 1)),  # same pod
+                (FatTree.host_name(0, 1, 0), FatTree.host_name(k - 1, 0, 1)),  # inter-pod
+            ],
+            id=f"fattree-k{k}",
+        )
+        for k in (4, 8, 24)
+    ]
+    + [pytest.param(_leaf_spine(), [("h00", "h01"), ("h00", "h21")], id="leaf-spine")],
+)
+def test_path_set_matches_shortest_paths(topo, pairs):
+    """Every field of a path set matches the reference enumeration,
+    row for row in leftmost order.  At k=24 the aggregation switches
+    and cores of a pod/group sort by name (``a0_10`` < ``a0_2``), so an
+    implementation that orders them numerically fails here."""
+    idx = topology_index(topo)
+    for src, dst in pairs + _sample_pairs(topo):
+        ps = idx.path_set(src, dst)
+        paths = shortest_paths(topo, src, dst)
+        if isinstance(topo, FatTree):
+            assert paths == fat_tree_paths(topo, src, dst)
+        assert ps.node_paths == tuple(paths)
+        assert [ps.node_path(r) for r in range(ps.n_paths)] == paths
+        hops = [list(zip(p[:-1], p[1:])) for p in paths]
+        dlinks = np.array([[idx.dlink_id[h] for h in row] for row in hops], dtype=np.intp)
+        switches = np.array(
+            [[idx.node_id[n] for n in p if topo.is_switch(n)] for p in paths],
+            dtype=np.intp,
+        )
+        host_hop = np.array(
+            [[topo.is_host(u) or topo.is_host(v) for u, v in row] for row in hops]
+        )
+        for got, want in (
+            (ps.dlinks, dlinks),
+            (ps.ulinks, dlinks // 2),
+            (ps.switch_nodes, switches),
+            (ps.host_hop, host_hop),
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (src, dst)
 
 
 def test_routing_matrix_round_trip(ft4):

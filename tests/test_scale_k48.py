@@ -125,32 +125,3 @@ def test_rule_diff_with_unchanged_ids_is_identical_and_churn_sized(scale_run):
             assert len(naive.rerouted) <= 10 * CHURN_PER_EPOCH
         prev = res.routing
 
-
-def test_sharded_cold_solve_at_scale(scale_run):
-    """A sharded cold full solve of the same k=48 epoch: valid, every
-    flow placed, no residual underflow, and within a small factor of
-    the indexed cold solve (the delta fixture's epoch-0 full solve).
-
-    This workload is the sharded engine's worst case — ~250 flows per
-    distinct pair means path-set compilation amortizes away and the
-    solve is packing-bound, so no parallel speedup is expected here
-    (the speedup contract is benchmarked at k=32's high-distinct-pair
-    density by ``bench_control --engine sharded``).  What this pins is
-    that the engine stays correct and does not blow up at 27k hosts."""
-    from time import perf_counter
-
-    from repro.consolidation import GreedyConsolidator, shutdown_shard_pool
-
-    ft, epochs, stats = scale_run["ft"], scale_run["epochs"], scale_run["stats"]
-    cons = GreedyConsolidator(ft, engine="sharded", shards=4, shard_jobs=4)
-    try:
-        t0 = perf_counter()
-        result = cons.consolidate(epochs[0], SCALE_FACTOR)
-        elapsed = perf_counter() - t0
-    finally:
-        shutdown_shard_pool()
-    assert len(result.routing) == len(epochs[0])
-    assert float(cons._state.residual.min()) >= 0.0
-    st = cons.last_sharded_stats
-    assert st is not None and st.n_shards == 4 and st.jobs == 4
-    assert elapsed < stats[0].solve_time_s * 4.0
