@@ -56,7 +56,7 @@ from repro.workloads.search import SearchWorkload
 
 #: Per-query demand (bit/s) keeping the aggregator's access-link fan-in
 #: ((n_hosts - 1) reply flows + background) routable at every
-#: benchmarked arity (same sizing as bench_network, extended to k=32).
+#: benchmarked arity up to k=32.
 QUERY_DEMAND_BPS = {4: 10e6, 6: 10e6, 8: 4e6, 10: 2e6, 12: 1e6, 14: 7e5, 16: 5e5, 32: 5e4}
 
 SCALE_FACTOR = 2.0

@@ -7,9 +7,9 @@ dominant control-plane cost.  But epoch-to-epoch traffic is mostly
 stable: the churn model kills a small fraction of background flows per
 epoch and re-predicts a few demands, while query traffic persists.
 
-:class:`DeltaConsolidator` exploits that stability.  It wraps an
-indexed-engine :class:`~repro.consolidation.heuristic.GreedyConsolidator`
-and warm-starts each epoch from the previous epoch's packed
+:class:`DeltaConsolidator` exploits that stability.  It wraps a
+:class:`~repro.consolidation.heuristic.GreedyConsolidator` and
+warm-starts each epoch from the previous epoch's packed
 :class:`~repro.netfast.packing.PackingState`:
 
 1. classify the offered flows against the warm records into
@@ -165,12 +165,11 @@ class DeltaConsolidator(Consolidator):
     Parameters
     ----------
     topology_or_inner:
-        Either a :class:`~repro.topology.graph.Topology` (an
-        indexed-engine :class:`GreedyConsolidator` is built internally)
-        or an existing indexed-engine greedy consolidator to wrap.  The
-        wrapped consolidator becomes *owned*: calling its
-        ``consolidate`` directly between delta epochs corrupts the warm
-        state.
+        Either a :class:`~repro.topology.graph.Topology` (a
+        :class:`GreedyConsolidator` is built internally) or an existing
+        greedy consolidator to wrap.  The wrapped consolidator becomes
+        *owned*: calling its ``consolidate`` directly between delta
+        epochs corrupts the warm state.
     drift_bound:
         Maximum accumulated regret fraction before a full-solve refresh.
         Regret is accounted against the last full solve's objective — a
@@ -209,12 +208,6 @@ class DeltaConsolidator(Consolidator):
             raise ConfigurationError(
                 "DeltaConsolidator wraps a Topology or a GreedyConsolidator, "
                 f"got {type(topology_or_inner).__name__}"
-            )
-        if inner.engine != "indexed":
-            raise ConfigurationError(
-                "delta consolidation requires the indexed greedy "
-                f"engine (got engine={inner.engine!r}); the reference engine "
-                "has no incremental packing state"
             )
         super().__init__(
             inner.topology,

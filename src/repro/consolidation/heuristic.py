@@ -15,16 +15,13 @@ packing.  This implementation:
    residual then leftmost — which is what drains traffic off the
    right-hand side of the tree.
 
-Two engines implement the same algorithm:
-
-* ``engine="indexed"`` (default) — the :mod:`repro.netfast` fast path:
-  candidate paths are priced as vectorized operations over precompiled
-  link-id matrices, with residual capacities and active-device
-  membership kept as flat arrays.  This is what makes datacenter-scale
-  (k=16) consolidation tractable.
-* ``engine="reference"`` — the original string-keyed loops, kept as the
-  executable specification; ``tests/test_netfast_equivalence.py``
-  asserts the engines produce byte-identical results.
+Candidate paths are priced by the :mod:`repro.netfast` fast path:
+vectorized operations over precompiled link-id matrices, with residual
+capacities and active-device membership kept as flat arrays.  This is
+what makes datacenter-scale (k=16) consolidation tractable.  The
+original string-keyed loops live on as the executable specification
+in ``tests/oracles/network.py``; ``tests/test_netfast_equivalence.py``
+asserts both produce byte-identical results.
 
 The optional ``allowed_subnet`` restricts routing to an existing
 :class:`~repro.topology.graph.ActiveSubnet` — used to route under the
@@ -37,16 +34,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError, InfeasibleError
-from ..flows.prediction import usable_capacity
 from ..flows.traffic import TrafficSet
 from ..netfast import PackingState, topology_index
 from ..netsim.network import Routing
-from ..topology.graph import ActiveSubnet, Link, Topology, canonical_link
-from ..topology.paths import shortest_paths
+from ..topology.graph import ActiveSubnet, Link, Topology
 from .base import (
     ConsolidationResult,
     Consolidator,
-    link_reservation,
     validate_exclusions,
 )
 
@@ -72,17 +66,15 @@ def _stranded(flow, scale_factor: float) -> _StrandedFlow:
     )
 
 
-#: Default bound on the per-consolidator pair/path caches.  Sized to
-#: hold every pair of the k=32 benchmark workload (~25k) with headroom;
-#: beyond it the caches evict least-recently-used entries instead of
+#: Default bound on the per-consolidator pair cache.  Sized to hold
+#: every pair of the k=32 benchmark workload (~25k) with headroom;
+#: beyond it the cache evicts least-recently-used entries instead of
 #: growing without bound across long sweeps.
 PAIR_CACHE_MAX = 65536
 
 
 class GreedyConsolidator(Consolidator):
     """First-fit-decreasing, leftmost-path greedy consolidator."""
-
-    ENGINES = ("indexed", "reference")
 
     def __init__(
         self,
@@ -91,32 +83,24 @@ class GreedyConsolidator(Consolidator):
         switch_model=None,
         link_model=None,
         allowed_subnet: ActiveSubnet | None = None,
-        engine: str = "indexed",
         pair_cache_max: int = PAIR_CACHE_MAX,
     ):
         super().__init__(topology, safety_margin_bps, switch_model, link_model)
         if allowed_subnet is not None and allowed_subnet.topology is not topology:
-            raise InfeasibleError("allowed_subnet belongs to a different topology")
-        if engine not in self.ENGINES:
-            raise ConfigurationError(f"unknown engine {engine!r}; known: {self.ENGINES}")
+            raise ConfigurationError("allowed_subnet belongs to a different topology")
         if pair_cache_max < 1:
             raise ConfigurationError(f"pair_cache_max must be >= 1, got {pair_cache_max}")
         self.allowed_subnet = allowed_subnet
-        self.engine = engine
-        # Path enumeration is pure topology; cache across consolidate() calls
-        # (the controller re-runs every 10 simulated minutes).  Bounded
-        # LRU — long multi-workload sweeps must not grow it forever.
+        # (PathSet, allowed-mask) per pair is pure topology + fixed
+        # subnet; cache across consolidate() calls (the controller
+        # re-runs every 10 simulated minutes).  Bounded LRU — long
+        # multi-workload sweeps must not grow it forever.  The reusable
+        # array state is built lazily on first consolidate().
         self.pair_cache_max = pair_cache_max
-        self._path_cache: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-        # Indexed engine: (PathSet, allowed-mask) per pair, plus the
-        # reusable array state — built lazily on first consolidate().
         self._pair_cache: dict[tuple[str, str], tuple] = {}
-        # Reference engine: hoisted per-consolidator invariants (lazy).
-        self._ref_baseline: tuple[frozenset, frozenset] | None = None
-        self._allowed_path_cache: dict[tuple[str, str], tuple] = {}
         self._state: PackingState | None = None
         # Optional per-flow placement log hook (set by the delta
-        # engine): when not None, each indexed packing attempt clears
+        # engine): when not None, each packing attempt clears
         # it and records (flow, path_set, row, reservations_row) per
         # placed flow, so the final successful attempt's placements can
         # seed a warm-startable state.
@@ -130,49 +114,6 @@ class GreedyConsolidator(Consolidator):
         while len(cache) >= self.pair_cache_max:
             del cache[next(iter(cache))]
         cache[key] = value
-
-    def _paths(self, src: str, dst: str) -> list[tuple[str, ...]]:
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is None:
-            cached = shortest_paths(self.topology, src, dst)
-            self._lru_insert(self._path_cache, key, cached)
-        else:
-            self._lru_touch(self._path_cache, key)
-        return cached
-
-    def _allowed_paths(self, src: str, dst: str) -> tuple:
-        """``(index, path)`` pairs surviving the fixed allowed subnet.
-
-        Pure topology + fixed subnet, so cached per pair (bounded LRU)
-        — the reference engine used to re-filter every path on every
-        restart attempt.  Original path indices are preserved, keeping
-        the leftmost tie-break identical.
-        """
-        key = (src, dst)
-        cached = self._allowed_path_cache.get(key)
-        if cached is None:
-            cached = tuple(
-                (idx, path)
-                for idx, path in enumerate(self._paths(src, dst))
-                if self._path_allowed(path)
-            )
-            self._lru_insert(self._allowed_path_cache, key, cached)
-        else:
-            self._lru_touch(self._allowed_path_cache, key)
-        return cached
-
-    def _path_allowed(self, path: tuple[str, ...]) -> bool:
-        if self.allowed_subnet is None:
-            return True
-        sub = self.allowed_subnet
-        for node in path:
-            if self.topology.is_switch(node) and not sub.is_switch_on(node):
-                return False
-        for u, v in zip(path[:-1], path[1:]):
-            if not sub.is_link_on(u, v):
-                return False
-        return True
 
     def consolidate(
         self,
@@ -268,20 +209,6 @@ class GreedyConsolidator(Consolidator):
 
     _NO_EXCLUSIONS = (frozenset(), frozenset())
 
-    def _pack_once(
-        self,
-        traffic: TrafficSet,
-        scale_factor: float,
-        attempt: int,
-        priority: tuple[str, ...] = (),
-        excluded: tuple[frozenset, frozenset] = _NO_EXCLUSIONS,
-    ) -> ConsolidationResult:
-        if self.engine == "indexed":
-            return self._pack_once_indexed(traffic, scale_factor, attempt, priority, excluded)
-        return self._pack_once_reference(traffic, scale_factor, attempt, priority, excluded)
-
-    # -- indexed engine ---------------------------------------------------------
-
     def _pair(self, src: str, dst: str):
         """(PathSet, allowed-mask) for one pair, cached per consolidator."""
         key = (src, dst)
@@ -325,7 +252,7 @@ class GreedyConsolidator(Consolidator):
 
         return mask_for
 
-    def _pack_once_indexed(
+    def _pack_once(
         self,
         traffic: TrafficSet,
         scale_factor: float,
@@ -377,128 +304,12 @@ class GreedyConsolidator(Consolidator):
             solver="heuristic",
         )
 
-    # -- reference engine -------------------------------------------------------
-
-    def _pack_once_reference(
-        self,
-        traffic: TrafficSet,
-        scale_factor: float,
-        attempt: int,
-        priority: tuple[str, ...] = (),
-        excluded: tuple[frozenset, frozenset] = _NO_EXCLUSIONS,
-    ) -> ConsolidationResult:
-        topo = self.topology
-        excl_switches, excl_links = excluded
-
-        def path_survives(path: tuple[str, ...]) -> bool:
-            if not excl_switches and not excl_links:
-                return True
-            if any(node in excl_switches for node in path):
-                return False
-            return not any(
-                canonical_link(u, v) in excl_links
-                for u, v in zip(path[:-1], path[1:])
-            )
-        residual: dict[tuple[str, str], float] = {}
-
-        def residual_of(u: str, v: str) -> float:
-            key = (u, v)
-            if key not in residual:
-                residual[key] = usable_capacity(topo.capacity(u, v), self.safety_margin_bps)
-            return residual[key]
-
-        # Devices that are on no matter what: host attachment links and
-        # their edge switches (servers are never disconnected).  With a
-        # fixed allowed subnet the power bill is already sunk, so every
-        # allowed device counts as active and routing degenerates to
-        # pure load balancing — exactly what an operator wants from the
-        # switches deliberately left on.  The baseline is pure topology
-        # + fixed subnet, hoisted across restart attempts (and across
-        # consolidate() calls).
-        if self._ref_baseline is None:
-            base_switches: set[str] = set()
-            base_links: set[tuple[str, str]] = set()
-            if self.allowed_subnet is not None:
-                base_switches.update(self.allowed_subnet.switches_on)
-                base_links.update(self.allowed_subnet.links_on)
-            for host in topo.hosts:
-                sw = topo.attachment_switch(host)
-                base_switches.add(sw)
-                base_links.add(canonical_link(host, sw))
-            self._ref_baseline = (frozenset(base_switches), frozenset(base_links))
-        active_switches = set(self._ref_baseline[0])
-        active_links = set(self._ref_baseline[1])
-
-        sw_delta, ln_delta = self._activation_deltas()
-
-        def find_best_path(flow, k):
-            """Cheapest feasible path for ``flow`` at scale ``k`` (or None).
-
-            Primary key: switch/link activation power (consolidation).
-            Secondary key: *largest bottleneck residual* — among already
-            powered paths, spread load rather than stack it; pure
-            leftmost packing strands later elephants behind full links.
-            Final key: leftmost path index, for determinism.
-            """
-            best = None  # (activation_watts, -bottleneck_residual, path_index, path)
-            for idx, path in self._allowed_paths(flow.src, flow.dst):
-                if not path_survives(path):
-                    continue
-                bottleneck = min(
-                    residual_of(u, v) - link_reservation(flow, k, topo, u, v)
-                    for u, v in zip(path[:-1], path[1:])
-                )
-                if bottleneck < 0:
-                    continue
-                n_new_switches = sum(
-                    1
-                    for node in path
-                    if topo.is_switch(node) and node not in active_switches
-                )
-                n_new_links = sum(
-                    1
-                    for u, v in zip(path[:-1], path[1:])
-                    if canonical_link(u, v) not in active_links
-                )
-                cost = n_new_switches * sw_delta + n_new_links * ln_delta
-                candidate = (cost, -bottleneck, idx, path)
-                if best is None or candidate[:3] < best[:3]:
-                    best = candidate
-            return best
-
-        paths: dict[str, tuple[str, ...]] = {}
-        for flow in self._ordered_flows(traffic, scale_factor, attempt, priority):
-            best = find_best_path(flow, scale_factor)
-            if best is None:
-                raise _stranded(flow, scale_factor)
-            path = best[-1]
-            paths[flow.flow_id] = path
-            for u, v in zip(path[:-1], path[1:]):
-                residual[(u, v)] = residual_of(u, v) - link_reservation(
-                    flow, scale_factor, topo, u, v
-                )
-            for node in path:
-                if topo.is_switch(node):
-                    active_switches.add(node)
-            for u, v in zip(path[:-1], path[1:]):
-                active_links.add(canonical_link(u, v))
-
-        subnet = ActiveSubnet(topo, frozenset(active_switches), frozenset(active_links))
-        return ConsolidationResult(
-            routing=Routing(paths),
-            subnet=subnet,
-            scale_factor=scale_factor,
-            objective_watts=self._network_power(subnet),
-            solver="heuristic",
-        )
-
 
 def route_on_subnet(
     subnet: ActiveSubnet,
     traffic: TrafficSet,
     scale_factor: float = 1.0,
     safety_margin_bps: float = 50e6,
-    engine: str = "indexed",
 ) -> ConsolidationResult:
     """Route traffic over a *fixed* subnet (e.g. an aggregation policy).
 
@@ -512,7 +323,6 @@ def route_on_subnet(
         subnet.topology,
         safety_margin_bps=safety_margin_bps,
         allowed_subnet=subnet,
-        engine=engine,
     )
     packed = consolidator.consolidate(traffic, scale_factor)
     # Report the full fixed subnet (its power is what the policy costs),

@@ -535,7 +535,6 @@ def replay_scenario(
     n_latency_samples: int = 40,
     seed: int = 0,
     sla_penalty_j: float = 4e5,
-    engine: str = "indexed",
     guardrail_on: bool = True,
     surrogate: ServerSurrogate | None = None,
 ) -> dict:
@@ -586,7 +585,7 @@ def replay_scenario(
             kcontrol=ScaleFactorController(budget_s, k_initial=first.k, k_max=k_max),
         )
     controller = SdnController(
-        GreedyConsolidator(topo, engine=engine),
+        GreedyConsolidator(topo),
         scale_factor=first.k,
         guardrail=guardrail,
         monitor=monitor,
@@ -656,7 +655,7 @@ def replay_scenario(
             carried = TrafficSet(
                 [f for f in true_traffic if f.flow_id in routing]
             )
-            truth = NetworkModel(topo, carried, routing, engine=engine)
+            truth = NetworkModel(topo, carried, routing)
             rng = np.random.default_rng(
                 np.random.SeedSequence(
                     entropy=[seed & 0xFFFFFFFF, 0xADA7, epoch]

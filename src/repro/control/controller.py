@@ -134,9 +134,9 @@ class SdnController:
         ``"delta"`` wraps the consolidator in a
         :class:`~repro.consolidation.delta.DeltaConsolidator` so epoch
         cost scales with traffic churn instead of flow count.  Delta
-        mode requires an indexed-engine greedy consolidator (or an
-        already-built :class:`DeltaConsolidator`); the ``delta_*``
-        knobs configure its fallback policy.
+        mode requires a greedy consolidator (or an already-built
+        :class:`DeltaConsolidator`); the ``delta_*`` knobs configure
+        its fallback policy.
     """
 
     MODES = ("full", "delta")
@@ -170,8 +170,8 @@ class SdnController:
                 self._delta = consolidator
                 consolidator = consolidator.inner
             else:
-                # DeltaConsolidator validates that this is an
-                # indexed-engine GreedyConsolidator.
+                # DeltaConsolidator validates that this is a
+                # GreedyConsolidator.
                 self._delta = DeltaConsolidator(
                     consolidator,
                     drift_bound=delta_drift_bound,
@@ -475,12 +475,7 @@ class SdnController:
         still carry the load that was actually seen.
         """
         observed = self.monitor.observed_traffic(offered_traffic)
-        model = NetworkModel(
-            self.consolidator.topology,
-            observed,
-            candidate,
-            engine=getattr(self.consolidator, "engine", "indexed"),
-        )
+        model = NetworkModel(self.consolidator.topology, observed, candidate)
         return model.max_utilization()
 
     def observe_sla(self, measured_tail_s: float) -> GuardrailDecision:

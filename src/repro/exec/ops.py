@@ -257,7 +257,6 @@ def telemetry_run_op(
     n_latency_samples: int = 40,
     telemetry_seed: int = 0,
     traffic_seed: int = 0,
-    engine: str = "indexed",
 ) -> dict:
     """Run the controller under lossy telemetry and score its SLA hygiene
     — the telemetry-robustness-sweep unit of work.
@@ -309,7 +308,7 @@ def telemetry_run_op(
             ),
         )
     controller = SdnController(
-        GreedyConsolidator(topo, engine=engine),
+        GreedyConsolidator(topo),
         scale_factor=scale_factor,
         guardrail=guardrail,
         monitor=monitor,
@@ -330,9 +329,7 @@ def telemetry_run_op(
         except InfeasibleError:
             deferred += 1
         if controller.current_routing is not None:
-            truth = NetworkModel(
-                topo, true_traffic, controller.current_routing, engine=engine
-            )
+            truth = NetworkModel(topo, true_traffic, controller.current_routing)
             rng = np.random.default_rng(
                 np.random.SeedSequence(
                     entropy=[traffic_seed & 0xFFFFFFFF, 0x7E1E, epoch]
@@ -391,7 +388,6 @@ def adaptive_run_op(
     epoch_s: float = 600.0,
     n_polls: int = 8,
     n_latency_samples: int = 40,
-    engine: str = "indexed",
 ) -> dict:
     """Replay one adversarial scenario under one operating-point policy
     — the adversarial-regret-sweep unit of work.
@@ -445,7 +441,6 @@ def adaptive_run_op(
         n_latency_samples=n_latency_samples,
         seed=seed,
         sla_penalty_j=sla_penalty_j,
-        engine=engine,
         guardrail_on=guardrail_on,
     )
 

@@ -17,13 +17,13 @@ latency sampling and greedy packing run as vectorized array operations:
   from a :class:`~repro.netsim.network.Routing`, turning utilization
   accumulation into one ``np.add.at``;
 * :class:`PackingState` — the incremental residual-capacity /
-  active-device arrays behind the indexed greedy consolidation engine.
+  active-device arrays behind greedy consolidation.
 
-Everything here is an *engine* under the existing API: outputs are
-bit-identical to the string-keyed reference implementations (same
-floating-point operation order, same activation-cost / -bottleneck /
-leftmost tie-breaking), which ``tests/test_netfast_equivalence.py``
-enforces.
+Everything here sits under the existing API: outputs are bit-identical
+to the string-keyed reference implementations kept as test oracles in
+``tests/oracles/network.py`` (same floating-point operation order, same
+activation-cost / -bottleneck / leftmost tie-breaking), which
+``tests/test_netfast_equivalence.py`` enforces.
 """
 
 from .index import PathSet, TopologyIndex, clear_index_registry, topology_index

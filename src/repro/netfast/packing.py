@@ -1,12 +1,13 @@
-"""Incremental array state for the indexed greedy packing engine.
+"""Incremental array state for the greedy packing heuristic.
 
-One :class:`PackingState` holds what the reference heuristic keeps in
-string-keyed dicts/sets: per-directed-link residual capacity, the
-active-switch and active-undirected-link membership, all as flat NumPy
-arrays updated in O(hops) per placed flow.  ``evaluate`` prices every
+One :class:`PackingState` holds what the oracle heuristic in
+``tests/oracles/network.py`` keeps in string-keyed dicts/sets:
+per-directed-link residual capacity, the active-switch and
+active-undirected-link membership, all as flat NumPy arrays updated in
+O(hops) per placed flow.  ``evaluate`` prices every
 candidate path of a flow — bottleneck residual, activation cost — in
 one vectorized pass over the pair's :class:`~repro.netfast.index.PathSet`
-matrices, reproducing the reference tie-breaking contract exactly:
+matrices, reproducing the oracle's tie-breaking contract exactly:
 minimize activation watts, then maximize bottleneck residual, then take
 the leftmost path index.
 """
@@ -33,7 +34,7 @@ class PackingState:
         Headroom subtracted from every directed link's capacity.
     allowed_subnet:
         Optional fixed subnet restriction; its devices start *active*
-        (their power is sunk) exactly as in the reference engine.
+        (their power is sunk) exactly as in the oracle.
     """
 
     def __init__(

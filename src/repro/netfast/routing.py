@@ -2,13 +2,13 @@
 
 Compiling a :class:`~repro.netsim.network.Routing` against a
 :class:`~repro.netfast.index.TopologyIndex` validates it (same checks
-and error messages as the reference :class:`NetworkModel` constructor)
-and yields flat arrays: ``dlinks`` concatenates every flow's directed
+and error messages as the string-keyed oracle model in
+``tests/oracles/network.py``) and yields flat arrays: ``dlinks`` concatenates every flow's directed
 link ids in hop order and ``indptr`` delimits the rows, exactly a CSR
 incidence matrix with implicit unit values.  Per-link utilization is
 then one ``np.add.at`` scatter-add; because ``np.add.at`` accumulates
 element-by-element in array order, the per-link sums add the very same
-demands in the very same order as the reference dict loop — the sums
+demands in the very same order as the oracle's dict loop — the sums
 are bit-identical, not merely close.
 """
 
@@ -41,7 +41,7 @@ class RoutingMatrix:
 
         Raises :class:`~repro.errors.ConfigurationError` on an unrouted
         flow, mismatched endpoints, or a hop over a missing link — the
-        same contract (and messages) as the reference model.
+        same contract (and messages) as the oracle model.
         """
         dlink_id = index.dlink_id
         flow_ids: list[str] = []

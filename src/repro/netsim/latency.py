@@ -197,8 +197,9 @@ def sample_pooled_path_delays(
 
     Note the RNG stream differs from calling
     :func:`sample_path_delays` per flow (draws are grouped across
-    flows); both engines of :class:`NetworkModel` use *this* helper for
-    pooled summaries, so their outputs are bit-identical.
+    flows); :class:`NetworkModel` and its string-keyed test oracle both
+    use *this* helper for pooled summaries, so their outputs are
+    bit-identical.
     """
     if n < 0:
         raise ConfigurationError(f"n must be non-negative, got {n}")

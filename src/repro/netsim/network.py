@@ -83,14 +83,13 @@ class NetworkModel:
         A :class:`Routing` covering every flow in ``traffic``.
     link_model:
         Per-link latency model; defaults to the Fig-1 calibration.
-    engine:
-        ``"indexed"`` (default) compiles the routing into a
-        :class:`~repro.netfast.RoutingMatrix` and runs utilization and
-        pooled sampling as array operations; ``"reference"`` keeps the
-        original string-keyed loops.  Outputs are bit-identical.
-    """
 
-    ENGINES = ("indexed", "reference")
+    The routing is compiled into a :class:`~repro.netfast.RoutingMatrix`
+    and utilization and pooled sampling run as array operations.  The
+    original string-keyed loops are kept as the executable
+    specification in ``tests/oracles/network.py``; outputs are
+    bit-identical.
+    """
 
     def __init__(
         self,
@@ -98,106 +97,58 @@ class NetworkModel:
         traffic: TrafficSet,
         routing: Routing,
         link_model: LinkLatencyModel | None = None,
-        engine: str = "indexed",
     ):
-        if engine not in self.ENGINES:
-            raise ConfigurationError(f"unknown engine {engine!r}; known: {self.ENGINES}")
+        # Import here keeps netsim importable without the fast path
+        # being a load-time dependency of the latency model itself.
+        from ..netfast import RoutingMatrix, topology_index
+
         self.topology = topology
         self.traffic = traffic
         self.routing = routing
         self.link_model = link_model or LinkLatencyModel()
-        self.engine = engine
-        if engine == "indexed":
-            # Import here keeps netsim importable without the fast path
-            # being a load-time dependency of the latency model itself.
-            from ..netfast import RoutingMatrix, topology_index
-
-            self._index = topology_index(topology)
-            # build() performs the same validation (and raises the same
-            # messages) as the reference loop below.
-            self._matrix = RoutingMatrix.build(self._index, traffic, routing)
-            self._util_vec = self._matrix.utilization_vector()
-            self._utilization = None
-        else:
-            self._index = None
-            self._matrix = None
-            self._util_vec = None
-            for flow in traffic:
-                if flow.flow_id not in routing:
-                    raise ConfigurationError(f"flow {flow.flow_id!r} has no route")
-                path = routing.path(flow.flow_id)
-                if path[0] != flow.src or path[-1] != flow.dst:
-                    raise ConfigurationError(
-                        f"flow {flow.flow_id!r}: route endpoints {path[0]!r}->{path[-1]!r} "
-                        f"do not match flow {flow.src!r}->{flow.dst!r}"
-                    )
-                for u, v in zip(path[:-1], path[1:]):
-                    if not topology.has_link(u, v):
-                        raise ConfigurationError(
-                            f"flow {flow.flow_id!r}: route uses missing link ({u!r}, {v!r})"
-                        )
-            self._utilization = self._compute_utilization()
-
-    def _compute_utilization(self) -> dict[tuple[str, str], float]:
-        """Directed per-link utilization from actual flow demands."""
-        load: dict[tuple[str, str], float] = {}
-        for flow in self.traffic:
-            for link in self.routing.directed_links(flow.flow_id):
-                load[link] = load.get(link, 0.0) + flow.demand_bps
-        return {
-            link: demand / self.topology.capacity(*link)
-            for link, demand in load.items()
-        }
+        self._index = topology_index(topology)
+        # build() validates the routing against the traffic and the
+        # topology, raising ConfigurationError on any mismatch.
+        self._matrix = RoutingMatrix.build(self._index, traffic, routing)
+        self._util_vec = self._matrix.utilization_vector()
 
     # -- utilization ------------------------------------------------------------
 
     def utilization(self, u: str, v: str) -> float:
         """Utilization of the *directed* link u→v (0 if unused)."""
-        if self._util_vec is not None:
-            dlid = self._index.dlink_id.get((u, v))
-            return float(self._util_vec[dlid]) if dlid is not None else 0.0
-        return self._utilization.get((u, v), 0.0)
+        dlid = self._index.dlink_id.get((u, v))
+        return float(self._util_vec[dlid]) if dlid is not None else 0.0
 
     @property
     def link_utilizations(self) -> dict[tuple[str, str], float]:
         """All nonzero directed-link utilizations."""
-        if self._util_vec is not None:
-            return {
-                self._index.dlink_name(d): float(self._util_vec[d])
-                for d in np.flatnonzero(self._util_vec)
-            }
-        return dict(self._utilization)
+        return {
+            self._index.dlink_name(d): float(self._util_vec[d])
+            for d in np.flatnonzero(self._util_vec)
+        }
 
     def max_utilization(self) -> float:
         """The most loaded directed link's utilization."""
-        if self._util_vec is not None:
-            return float(self._util_vec.max()) if self._util_vec.size else 0.0
-        return max(self._utilization.values(), default=0.0)
+        return float(self._util_vec.max()) if self._util_vec.size else 0.0
 
     def overloaded_links(self, threshold: float = 1.0) -> list[tuple[str, str]]:
         """Directed links at or above ``threshold`` utilization."""
-        if self._util_vec is not None:
-            hit = (self._util_vec >= threshold) & (self._util_vec > 0.0)
-            return sorted(self._index.dlink_name(d) for d in np.flatnonzero(hit))
-        return sorted(l for l, u in self._utilization.items() if u >= threshold)
+        hit = (self._util_vec >= threshold) & (self._util_vec > 0.0)
+        return sorted(self._index.dlink_name(d) for d in np.flatnonzero(hit))
 
     def path_utilizations(self, flow_id: str) -> np.ndarray:
         """Per-hop utilizations seen by one flow."""
-        if self._util_vec is not None:
-            row = self._matrix.row_of.get(flow_id)
-            if row is not None:
-                return self._util_vec[self._matrix.hops_of(flow_id)]
-            # Routed but not in the traffic set: resolve hop by hop,
-            # treating links outside the topology as unused.
-            dlink_id = self._index.dlink_id
-            return np.array(
-                [
-                    float(self._util_vec[d]) if (d := dlink_id.get(l)) is not None else 0.0
-                    for l in self.routing.directed_links(flow_id)
-                ]
-            )
+        row = self._matrix.row_of.get(flow_id)
+        if row is not None:
+            return self._util_vec[self._matrix.hops_of(flow_id)]
+        # Routed but not in the traffic set: resolve hop by hop,
+        # treating links outside the topology as unused.
+        dlink_id = self._index.dlink_id
         return np.array(
-            [self._utilization.get(l, 0.0) for l in self.routing.directed_links(flow_id)]
+            [
+                float(self._util_vec[d]) if (d := dlink_id.get(l)) is not None else 0.0
+                for l in self.routing.directed_links(flow_id)
+            ]
         )
 
     # -- latency -----------------------------------------------------------------
@@ -235,17 +186,11 @@ class NetworkModel:
         ls = self.traffic.latency_sensitive
         if not ls:
             raise ConfigurationError("no latency-sensitive flows to summarize")
-        if self._util_vec is not None:
-            dlinks, flow_of_hop = self._matrix.concat_rows(
-                self._matrix.row_of[f.flow_id] for f in ls
-            )
-            utils = self._util_vec[dlinks]
-        else:
-            pools = [self.path_utilizations(f.flow_id) for f in ls]
-            utils = np.concatenate(pools)
-            flow_of_hop = np.repeat(np.arange(len(ls)), [p.size for p in pools])
+        dlinks, flow_of_hop = self._matrix.concat_rows(
+            self._matrix.row_of[f.flow_id] for f in ls
+        )
         samples = sample_pooled_path_delays(
-            self.link_model, utils, flow_of_hop, len(ls), n_per_flow, rng
+            self.link_model, self._util_vec[dlinks], flow_of_hop, len(ls), n_per_flow, rng
         )
         return LatencySummary.from_samples(samples.ravel())
 

@@ -22,7 +22,7 @@ interchangeable decision engines:
   :mod:`repro.policies.vp_common`, binary-searching the ladder.
 
 Both pick identical frequencies (``tests/test_simfast_equivalence.py``
-enforces it), mirroring ``netfast``'s ``engine=`` contract.
+enforces it).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from repro.consolidation import (
     validate_result,
 )
 from repro.consolidation.base import link_reservation
-from repro.errors import InfeasibleError
+from repro.errors import ConfigurationError, InfeasibleError
 from repro.flows import Flow, FlowClass, TrafficSet, combined_traffic, search_flows
 from repro.topology import FatTree, aggregation_policy
 from repro.units import MBPS
@@ -171,6 +171,15 @@ class TestRouteOnSubnet:
         res = route_on_subnet(sub, search_traffic, 1.0)
         validate_result(ft4, search_traffic, res)
 
+    def test_foreign_topology_subnet_is_a_configuration_error(self, ft4):
+        """A subnet of another (even identical) topology is a caller
+        mistake, not an infeasible point: the sweep cache stores
+        InfeasibleError results as "this policy cannot carry the
+        traffic", so it must not be raised for a misconfiguration."""
+        foreign = aggregation_policy(FatTree(4), 1)
+        with pytest.raises(ConfigurationError, match="different topology"):
+            GreedyConsolidator(ft4, allowed_subnet=foreign)
+
 
 class TestSearchFlowsKExample:
     def test_fig2_scale_factor_effect(self, ft4):
@@ -208,8 +217,8 @@ class TestSearchFlowsKExample:
 
 
 class TestBoundedCaches:
-    """Regression: the per-pair path caches must stay bounded (they
-    used to grow one entry per distinct (src, dst) forever)."""
+    """Regression: the per-pair cache must stay bounded (it used to
+    grow one entry per distinct (src, dst) forever)."""
 
     def test_pair_cache_evicts(self):
         cons = GreedyConsolidator(FT8, pair_cache_max=8)
@@ -224,13 +233,6 @@ class TestBoundedCaches:
         for i in range(40):
             cons._pair(hosts[i], hosts[(i + 17) % len(hosts)])
         assert len(cons._pair_cache) <= 8
-
-    def test_reference_path_cache_evicts(self):
-        cons = GreedyConsolidator(FT8, engine="reference", pair_cache_max=8)
-        hosts = list(FT8.hosts)
-        for i in range(40):
-            cons._allowed_paths(hosts[i], hosts[(i + 17) % len(hosts)])
-        assert len(cons._allowed_path_cache) <= 8
 
     def test_engines_still_agree_under_tiny_cache(self):
         traffic = bench_style_epochs(FT, 1, query_demand_bps=10e6)[0]

@@ -210,10 +210,6 @@ class TestFallbackLadder:
         delta.consolidate(epochs[1], 1.0)
         assert delta.last_stats.mode == MODE_FULL
 
-    def test_requires_indexed_engine(self, ft4):
-        with pytest.raises(ConfigurationError):
-            DeltaConsolidator(GreedyConsolidator(ft4, engine="reference"))
-
 
 class TestControllerPlumbing:
     def test_mode_delta_drift0_matches_full_mode(self, ft4):

@@ -27,6 +27,7 @@ from repro.faults import (
     FaultSchedule,
 )
 from repro.flows import combined_traffic
+from tests.oracles.network import ReferenceGreedyConsolidator
 
 
 @pytest.fixture()
@@ -189,17 +190,19 @@ class TestExclusions:
     def test_greedy_honors_exclusions_both_engines(self, ft4, mixed_traffic):
         excluded = frozenset({"c0_0"})
         results = {}
-        for engine in ("indexed", "reference"):
-            g = GreedyConsolidator(ft4, engine=engine)
-            r = g.consolidate(mixed_traffic, 1.5, excluded_switches=excluded)
+        for name, cls in (
+            ("production", GreedyConsolidator),
+            ("oracle", ReferenceGreedyConsolidator),
+        ):
+            r = cls(ft4).consolidate(mixed_traffic, 1.5, excluded_switches=excluded)
             assert "c0_0" not in r.subnet.switches_on
             assert all("c0_0" not in path for _, path in r.routing.items())
-            results[engine] = r
-        assert dict(results["indexed"].routing.items()) == dict(
-            results["reference"].routing.items()
+            results[name] = r
+        assert dict(results["production"].routing.items()) == dict(
+            results["oracle"].routing.items()
         )
-        assert results["indexed"].subnet.switches_on == results[
-            "reference"
+        assert results["production"].subnet.switches_on == results[
+            "oracle"
         ].subnet.switches_on
 
     def test_milp_honors_exclusions(self, ft4):

@@ -1,14 +1,14 @@
-"""Indexed-engine equivalence: bit-identical to the reference engine.
+"""Production network layer: bit-identical to the string-keyed oracle.
 
-The :mod:`repro.netfast` fast path is an *engine* under the existing
-API, not an approximation: consolidation routing, active subnets,
-objectives, per-link utilizations, per-flow samples, and pooled latency
-summaries must all be exactly equal (``==`` on floats, not allclose)
-between ``engine="indexed"`` and ``engine="reference"``.  A golden-hash
-regression additionally pins both engines to digests captured from the
-pre-PR reference implementation, so the packing contract
-(activation cost, then largest bottleneck, then leftmost path) cannot
-drift silently.
+The :mod:`repro.netfast` fast path behind :class:`GreedyConsolidator`
+and :class:`NetworkModel` is not an approximation: consolidation
+routing, active subnets, objectives, per-link utilizations, per-flow
+samples, and pooled latency summaries must all be exactly equal (``==``
+on floats, not allclose) to the reference implementations in
+``tests/oracles/network.py``.  A golden-hash regression additionally
+pins production and the oracle to digests captured from the original
+string-keyed implementation, so the packing contract (activation cost,
+then largest bottleneck, then leftmost path) cannot drift silently.
 """
 
 from __future__ import annotations
@@ -27,6 +27,18 @@ from repro.netsim.network import NetworkModel
 from repro.topology.aggregation import aggregation_policy
 from repro.topology.fattree import FatTree
 from repro.workloads.search import SearchWorkload
+from tests.oracles.network import (
+    ReferenceGreedyConsolidator,
+    ReferenceNetworkModel,
+    reference_route_on_subnet,
+)
+
+#: (consolidator class, route_on_subnet, network model) of production
+#: (the indexed fast path) and of the string-keyed reference oracle.
+IMPLEMENTATIONS = {
+    "indexed": (GreedyConsolidator, route_on_subnet, NetworkModel),
+    "reference": (ReferenceGreedyConsolidator, reference_route_on_subnet, ReferenceNetworkModel),
+}
 
 
 def routing_digest(res) -> str:
@@ -41,11 +53,9 @@ def routing_digest(res) -> str:
 
 
 def consolidate_both(topology, traffic, scale_factor, **kwargs):
-    results = {}
-    for engine in GreedyConsolidator.ENGINES:
-        cons = GreedyConsolidator(topology, engine=engine, **kwargs)
-        results[engine] = cons.consolidate(traffic, scale_factor)
-    return results["indexed"], results["reference"]
+    got = GreedyConsolidator(topology, **kwargs).consolidate(traffic, scale_factor)
+    want = ReferenceGreedyConsolidator(topology, **kwargs).consolidate(traffic, scale_factor)
+    return got, want
 
 
 def assert_results_equal(a, b) -> None:
@@ -79,20 +89,17 @@ def test_fixed_subnet_equivalence(k):
     traffic = SearchWorkload(ft).traffic(0.2, seed_or_rng=1)
     for level in (0, 1):
         sub = aggregation_policy(ft, level)
-        a = route_on_subnet(sub, traffic, engine="indexed")
-        b = route_on_subnet(sub, traffic, engine="reference")
-        assert_results_equal(a, b)
+        assert_results_equal(
+            route_on_subnet(sub, traffic), reference_route_on_subnet(sub, traffic)
+        )
 
 
 def test_elastictree_equivalence():
     ft = FatTree(4)
     traffic = combined_traffic(ft, ft.hosts[0], 0.3, seed_or_rng=3)
-    res = {
-        e: ElasticTreeConsolidator(ft, engine=e).consolidate(traffic, 3.0)
-        for e in GreedyConsolidator.ENGINES
-    }
-    assert_results_equal(res["indexed"], res["reference"])
-    assert res["indexed"].scale_factor == 1.0
+    got = ElasticTreeConsolidator(ft).consolidate(traffic, 3.0)
+    assert got.scale_factor == 1.0
+    assert_results_equal(got, ReferenceGreedyConsolidator(ft).consolidate(traffic, 1.0))
 
 
 def test_infeasible_raises_identically():
@@ -100,10 +107,10 @@ def test_infeasible_raises_identically():
     traffic = combined_traffic(ft, ft.hosts[0], 0.2, seed_or_rng=1)
     sub = aggregation_policy(ft, 3)
     messages = {}
-    for engine in GreedyConsolidator.ENGINES:
+    for name, (_, route, _) in IMPLEMENTATIONS.items():
         with pytest.raises(InfeasibleError) as err:
-            route_on_subnet(sub, traffic, engine=engine)
-        messages[engine] = str(err.value)
+            route(sub, traffic)
+        messages[name] = str(err.value)
     assert messages["indexed"] == messages["reference"]
 
 
@@ -111,8 +118,8 @@ def test_network_model_equivalence():
     ft = FatTree(4)
     traffic = combined_traffic(ft, ft.hosts[0], 0.2, seed_or_rng=1)
     res = GreedyConsolidator(ft).consolidate(traffic, 2.0)
-    m_i = NetworkModel(ft, traffic, res.routing, engine="indexed")
-    m_r = NetworkModel(ft, traffic, res.routing, engine="reference")
+    m_i = NetworkModel(ft, traffic, res.routing)
+    m_r = ReferenceNetworkModel(ft, traffic, res.routing)
     assert m_i.link_utilizations == m_r.link_utilizations
     assert m_i.max_utilization() == m_r.max_utilization()
     for threshold in (0.2, 0.5, 1.0):
@@ -133,31 +140,21 @@ def test_network_model_validation_messages_match():
     ft = FatTree(4)
     traffic = combined_traffic(ft, ft.hosts[0], 0.0, seed_or_rng=1)
     res = GreedyConsolidator(ft).consolidate(traffic, 1.0)
-    # Drop one flow's route: both engines must raise the same message.
+    # Drop one flow's route: production and oracle raise the same message.
     paths = dict(res.routing.items())
     dropped = sorted(paths)[0]
     del paths[dropped]
     broken = Routing(paths)
     messages = {}
-    for engine in NetworkModel.ENGINES:
+    for name, (_, _, model) in IMPLEMENTATIONS.items():
         with pytest.raises(ConfigurationError) as err:
-            NetworkModel(ft, traffic, broken, engine=engine)
-        messages[engine] = str(err.value)
+            model(ft, traffic, broken)
+        messages[name] = str(err.value)
     assert messages["indexed"] == messages["reference"]
     assert dropped in messages["indexed"]
 
 
-def test_unknown_engine_rejected():
-    ft = FatTree(4)
-    with pytest.raises(ConfigurationError):
-        GreedyConsolidator(ft, engine="turbo")
-    traffic = combined_traffic(ft, ft.hosts[0], 0.0, seed_or_rng=1)
-    res = GreedyConsolidator(ft).consolidate(traffic, 1.0)
-    with pytest.raises(ConfigurationError):
-        NetworkModel(ft, traffic, res.routing, engine="turbo")
-
-
-# -- golden regression: digests captured from the pre-PR reference code ------
+# -- golden regression: digests captured from the original string-keyed code --
 
 GOLDEN_COMBINED = {
     # combined_traffic(ft4, hosts[0], bg=0.2, seed=1)
@@ -187,35 +184,38 @@ GOLDEN_UTILIZATION = (
 )
 
 
-@pytest.mark.parametrize("engine", GreedyConsolidator.ENGINES)
-def test_golden_routing_combined(engine):
+@pytest.mark.parametrize("impl", IMPLEMENTATIONS)
+def test_golden_routing_combined(impl):
+    consolidator, route, _ = IMPLEMENTATIONS[impl]
     ft = FatTree(4)
     traffic = combined_traffic(ft, ft.hosts[0], 0.2, seed_or_rng=1)
     for (k, scale), digest in GOLDEN_COMBINED.items():
         assert k == 4
-        res = GreedyConsolidator(ft, engine=engine).consolidate(traffic, scale)
-        assert routing_digest(res) == digest, (engine, scale)
+        res = consolidator(ft).consolidate(traffic, scale)
+        assert routing_digest(res) == digest, (impl, scale)
     for (k, level), digest in GOLDEN_COMBINED_SUBNET.items():
-        res = route_on_subnet(aggregation_policy(ft, level), traffic, engine=engine)
-        assert routing_digest(res) == digest, (engine, level)
+        res = route(aggregation_policy(ft, level), traffic)
+        assert routing_digest(res) == digest, (impl, level)
 
 
-@pytest.mark.parametrize("engine", GreedyConsolidator.ENGINES)
-def test_golden_routing_workload(engine):
+@pytest.mark.parametrize("impl", IMPLEMENTATIONS)
+def test_golden_routing_workload(impl):
+    consolidator = IMPLEMENTATIONS[impl][0]
     for k in (4, 6):
         ft = FatTree(k)
         traffic = SearchWorkload(ft).traffic(0.2, seed_or_rng=1)
         for scale in (1.0, 2.0):
-            res = GreedyConsolidator(ft, engine=engine).consolidate(traffic, scale)
-            assert routing_digest(res) == GOLDEN_WORKLOAD[(k, scale)], (engine, k, scale)
+            res = consolidator(ft).consolidate(traffic, scale)
+            assert routing_digest(res) == GOLDEN_WORKLOAD[(k, scale)], (impl, k, scale)
 
 
-@pytest.mark.parametrize("engine", NetworkModel.ENGINES)
-def test_golden_utilization(engine):
+@pytest.mark.parametrize("impl", IMPLEMENTATIONS)
+def test_golden_utilization(impl):
+    consolidator, _, network_model = IMPLEMENTATIONS[impl]
     ft = FatTree(4)
     traffic = combined_traffic(ft, ft.hosts[0], 0.2, seed_or_rng=1)
-    res = GreedyConsolidator(ft, engine=engine).consolidate(traffic, 2.0)
-    model = NetworkModel(ft, traffic, res.routing, engine=engine)
+    res = consolidator(ft).consolidate(traffic, 2.0)
+    model = network_model(ft, traffic, res.routing)
     items = sorted((u, v, val.hex()) for (u, v), val in model.link_utilizations.items())
     digest = hashlib.sha256(json.dumps(items).encode()).hexdigest()
     assert digest == GOLDEN_UTILIZATION

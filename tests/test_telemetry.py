@@ -1,5 +1,5 @@
 """Imperfect-telemetry model: profile determinism, collector semantics,
-gap-aware monitor behaviour, and engine-equivalence under degradation."""
+gap-aware monitor behaviour, and oracle equivalence under degradation."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.control.controller
+import repro.exec.ops
 from repro.control.monitor import TrafficMonitor
 from repro.errors import ConfigurationError
 from repro.exec.ops import telemetry_run_op, workload_for
@@ -18,6 +20,7 @@ from repro.telemetry import (
     DegradedStatsCollector,
     TelemetryProfile,
 )
+from tests.oracles.network import ReferenceGreedyConsolidator, ReferenceNetworkModel
 
 
 @pytest.fixture(scope="module")
@@ -273,15 +276,20 @@ class TestEngineEquivalence:
     def test_indexed_matches_reference_under_degradation(
         self, loss, stale, guarded, seed
     ):
-        """Same seed + profile -> bit-identical run summaries whichever
-        flow-path engine solves and replays the epochs."""
+        """Same seed + profile -> bit-identical run summaries whether
+        production or the string-keyed oracle solves the epochs, replays
+        them for ground truth and checks candidates for admission."""
         spec = dict(
             BASE_SPEC,
             stats_loss_prob=loss, stale_prob=stale, guardrail_on=guarded,
             telemetry_seed=seed, traffic_seed=seed,
         )
-        indexed = telemetry_run_op(**spec, engine="indexed")
-        reference = telemetry_run_op(**spec, engine="reference")
+        indexed = telemetry_run_op(**spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(repro.exec.ops, "GreedyConsolidator", ReferenceGreedyConsolidator)
+            mp.setattr(repro.exec.ops, "NetworkModel", ReferenceNetworkModel)
+            mp.setattr(repro.control.controller, "NetworkModel", ReferenceNetworkModel)
+            reference = telemetry_run_op(**spec)
         assert indexed == reference
 
     def test_guardrail_off_is_the_historical_controller(self):
