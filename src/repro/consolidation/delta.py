@@ -530,25 +530,3 @@ class DeltaConsolidator(Consolidator):
         )
         self._regret = 0.0
         return result
-
-    # -- repair fast path --------------------------------------------------------
-
-    def repair_residuals(self, stranded_ids):
-        """Warm residual state for :func:`~repro.consolidation.repair.local_repair`.
-
-        Returns ``(index, residuals)`` — the topology index plus an
-        independent residual-capacity array with the stranded flows'
-        reservations already released — or ``None`` when no warm state
-        is live (repair then re-derives residuals from the routing
-        dict as before).  O(stranded hops) instead of O(all flows).
-        """
-        warm = self._warm
-        if warm is None or self.inner._state is None:
-            return None
-        residuals = self.inner._state.residual_snapshot()
-        for fid in stranded_ids:
-            rec = warm.records.get(fid)
-            if rec is None:
-                return None
-            residuals[rec.ps.dlinks[rec.row]] += rec.reservations
-        return self.inner._state.index, residuals

@@ -97,7 +97,6 @@ def local_repair(
     scale_factor: float = 1.0,
     safety_margin_bps: float = 50e6,
     failed_links: frozenset[Link] = frozenset(),
-    warm_state=None,
 ) -> LocalRepair:
     """Re-place the stranded flows of ``routing`` on ``subnet``.
 
@@ -106,55 +105,25 @@ def local_repair(
     must not be re-lit.  Surviving flows keep their paths and their
     reservations; stranded flows pack into the remaining residual
     capacity of live switches.
-
-    ``warm_state`` is an optional live
-    :class:`~repro.consolidation.delta.DeltaConsolidator`: when it holds
-    a warm packing covering the stranded flows, survivor residuals come
-    from its index-keyed residual arrays in O(stranded hops) — instead
-    of re-deriving them from the routing dict in O(all flows) — with the
-    stranded flows' reservations already released.  Warm residuals carry
-    the consolidator's reservations (predicted demand, K-scaled on
-    switch-switch hops, its own safety margin), so off the
-    ``scale_factor=1`` / offered==predicted case the warm path is the
-    more conservative of the two; a repair it rejects escalates up the
-    controller's ladder exactly as a cold-path rejection would.
     """
     topo = subnet.topology
     stranded = set(stranded_flows(traffic, routing, subnet))
     failed_links = frozenset(canonical_link(u, v) for u, v in failed_links)
     search = _reachable_subnet(subnet, failed_links)
 
-    warm = None
-    if warm_state is not None:
-        warm = warm_state.repair_residuals(sorted(stranded))
+    residual: dict[tuple[str, str], float] = {}
 
-    if warm is not None:
-        index, residuals = warm
-        dlink_id = index.dlink_id
+    def residual_of(u: str, v: str) -> float:
+        key = (u, v)
+        if key not in residual:
+            residual[key] = usable_capacity(topo.capacity(u, v), safety_margin_bps)
+        return residual[key]
 
-        def residual_of(u: str, v: str) -> float:
-            return float(residuals[dlink_id[(u, v)]])
-
-        def reserve(flow, path) -> None:
-            for u, v in zip(path[:-1], path[1:]):
-                residuals[dlink_id[(u, v)]] -= link_reservation(
-                    flow, scale_factor, topo, u, v
-                )
-
-    else:
-        residual: dict[tuple[str, str], float] = {}
-
-        def residual_of(u: str, v: str) -> float:
-            key = (u, v)
-            if key not in residual:
-                residual[key] = usable_capacity(topo.capacity(u, v), safety_margin_bps)
-            return residual[key]
-
-        def reserve(flow, path) -> None:
-            for u, v in zip(path[:-1], path[1:]):
-                residual[(u, v)] = residual_of(u, v) - link_reservation(
-                    flow, scale_factor, topo, u, v
-                )
+    def reserve(flow, path) -> None:
+        for u, v in zip(path[:-1], path[1:]):
+            residual[(u, v)] = residual_of(u, v) - link_reservation(
+                flow, scale_factor, topo, u, v
+            )
 
     new_paths: dict[str, tuple[str, ...]] = {}
     for flow in traffic:
@@ -162,8 +131,7 @@ def local_repair(
             continue
         path = routing.path(flow.flow_id)
         new_paths[flow.flow_id] = path
-        if warm is None:
-            reserve(flow, path)
+        reserve(flow, path)
 
     lit: set[Link] = set()
     repaired: list[str] = []

@@ -688,7 +688,6 @@ class SdnController:
                 scale_factor=1.0,
                 safety_margin_bps=self.consolidator.safety_margin_bps,
                 failed_links=frozenset(self.failed_links),
-                warm_state=self._delta,
             )
             if self._delta is not None:
                 # Repair rewrote routes outside the delta engine's

@@ -21,11 +21,12 @@ delivered/gap mask.  Each epoch's percentiles and window means come from
 one vectorized pass over the store, grouped by delivered-sample count;
 rows stay chronological, so every result is bit-identical to a
 :class:`~repro.flows.prediction.PercentilePredictor` fed the same polls.
+
+An epoch of polls arrives as one :class:`~repro.telemetry.ObservedBatch`,
+already in the store's ingest format (sorted ids, counts, flat rates).
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -225,34 +226,24 @@ class TrafficMonitor:
         """Record one poll for which the flow's stats reply was lost."""
         self._ingest([flow_id], [1], None)
 
-    def observe_epoch(self, rates_by_flow: dict[str, list[float]]) -> None:
-        """Record a whole epoch of samples at once, flows in dict order."""
-        self._observe_samples(list(rates_by_flow.items()))
-
-    def observe_batch(self, samples: dict[str, list[float]], gaps: dict[str, int]) -> None:
+    def observe_batch(self, batch) -> None:
         """Record one epoch of delivered telemetry in a single call.
 
-        ``samples`` maps flow id to its delivered rates (oldest first),
-        ``gaps`` to its number of lost polls.  Flows are touched as the
-        per-poll loop over sorted sample flows, then sorted gap flows,
-        would touch them, so ``max_tracked_flows`` evicts the same flows.
-        Every rate is validated before any state changes.
+        ``batch`` is an :class:`~repro.telemetry.ObservedBatch`: sorted
+        sample flows with their rates back to back (oldest first), then
+        sorted gap flows with their lost-poll counts.  Flows are touched
+        as the per-poll loop over the sample flows, then the gap flows,
+        would touch them, so ``max_tracked_flows`` evicts the same
+        flows.  The whole batch is validated before any state changes.
         """
-        bad = [fid for fid, n in gaps.items() if n < 0]
-        if bad:
-            raise ConfigurationError(f"negative gap counts for {bad[:3]}")
-        self._observe_samples([(fid, samples[fid]) for fid in sorted(samples)])
-        gap_ids = [fid for fid in sorted(gaps) if gaps[fid] > 0]
-        self._ingest(gap_ids, [gaps[fid] for fid in gap_ids], None)
-
-    def _observe_samples(self, items: list[tuple[str, list[float]]]) -> None:
-        items = [(fid, rates) for fid, rates in items if len(rates)]
-        counts = [len(rates) for _, rates in items]
-        flat = np.fromiter(
-            chain.from_iterable(rates for _, rates in items), float, sum(counts)
-        )
-        self._check_rates(flat)
-        self._ingest([fid for fid, _ in items], counts, flat)
+        for ids, n in ((batch.sample_ids, batch.sample_counts), (batch.gap_ids, batch.gap_counts)):
+            if len(ids) != n.size or (n <= 0).any() or any(a >= b for a, b in zip(ids, ids[1:])):
+                raise ConfigurationError("batch flows need sorted unique ids and positive counts")
+        if batch.sample_counts.sum() != batch.rates.size:
+            raise ConfigurationError("batch sample counts do not match its rates")
+        self._check_rates(batch.rates)
+        self._ingest(batch.sample_ids, batch.sample_counts, batch.rates)
+        self._ingest(batch.gap_ids, batch.gap_counts, None)
 
     # -- per-flow queries ----------------------------------------------------------
 

@@ -250,6 +250,9 @@ class TopologyIndex:
     def _build_path_set(self, src: str, dst: str) -> PathSet:
         if src == dst:
             raise ConfigurationError("source and destination must differ")
+        for node in (src, dst):
+            if node not in self.node_id:
+                raise ConfigurationError(f"{node!r} is not a node of this topology")
         s, d = self.node_id[src], self.node_id[dst]
         ends = (
             (src,) if s < self.n_hosts else (),

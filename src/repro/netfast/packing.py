@@ -202,10 +202,6 @@ class PackingState:
             self.switch_refs[sw] -= 1
             self.switch_active[sw] = self._switch_active0[sw] | (self.switch_refs[sw] > 0)
 
-    def residual_snapshot(self) -> np.ndarray:
-        """An independent copy of the per-directed-link residuals."""
-        return self.residual.copy()
-
     # -- result extraction ------------------------------------------------------
 
     def active_switch_names(self) -> frozenset[str]:

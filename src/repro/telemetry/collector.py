@@ -11,6 +11,11 @@ carries every flow the switch reports), so one lost reply blinds the
 monitor to all flows attached there at once — the failure mode that
 makes per-flow prediction dangerous.
 
+A reply is one vector of rates over the switch's flows.  Each epoch the
+flows are sorted once by (attachment switch, flow id), so every switch
+is a contiguous block of rows; the delivered samples leave as one
+:class:`ObservedBatch` of flat arrays in the monitor's ingest format.
+
 Replay is seed-deterministic and independent of iteration order:
 every (epoch, switch) pair draws from its own content-keyed generator,
 and flows within a reply are processed in sorted id order.
@@ -18,7 +23,8 @@ and flows within a reply are processed in sorted id order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -30,19 +36,23 @@ from .profile import TelemetryProfile
 __all__ = ["ObservedBatch", "DegradedStatsCollector"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservedBatch:
-    """One epoch's delivered telemetry.
+    """One epoch's delivered telemetry, in the monitor's ingest format.
 
-    ``samples`` holds the rate observations that actually arrived this
-    epoch (including late batches emitted in a previous one); ``gaps``
-    counts the polls per flow that produced nothing — the monitor's
-    missing-sample accounting feeds on it.
+    ``sample_ids``: sorted ids of the flows with samples delivered this
+    epoch (late batches included); ``rates``: their samples back to
+    back, ``sample_counts[i]`` for ``sample_ids[i]``, oldest first.
+    ``gap_ids``/``gap_counts``: per flow, sorted, the polls that produced
+    nothing — the monitor's missing-sample accounting feeds on them.
     """
 
     epoch: int
-    samples: dict[str, list[float]] = field(default_factory=dict)
-    gaps: dict[str, int] = field(default_factory=dict)
+    sample_ids: list[str]
+    sample_counts: np.ndarray
+    rates: np.ndarray
+    gap_ids: list[str]
+    gap_counts: np.ndarray
     n_polls: int = 0
     n_lost: int = 0
     n_stale: int = 0
@@ -50,7 +60,7 @@ class ObservedBatch:
 
     @property
     def n_delivered_samples(self) -> int:
-        return sum(len(v) for v in self.samples.values())
+        return int(self.rates.size)
 
 
 class DegradedStatsCollector:
@@ -70,28 +80,16 @@ class DegradedStatsCollector:
     def __init__(self, topology: Topology, profile: TelemetryProfile):
         self.topology = topology
         self.profile = profile
-        #: Per-switch last successfully delivered {flow_id: rate} —
-        #: what a stale reply re-serves.
-        self._last_good: dict[str, dict[str, float]] = {}
-        #: Late batches keyed by the epoch they arrive in.
-        self._pending: dict[int, list[dict[str, float]]] = {}
+        #: Per-switch last successfully delivered reply ``(ids, rates)``
+        #: — what a stale reply re-serves.
+        self._last_good: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        #: Late replies ``(ids, rates)`` keyed by the epoch they arrive in.
+        self._pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._next_epoch = 0
         self.polls_total = 0
         self.polls_lost = 0
         self.polls_stale = 0
         self.polls_delayed = 0
-
-    # -- grouping ----------------------------------------------------------------
-
-    def _by_switch(self, traffic: TrafficSet) -> list[tuple[str, list]]:
-        """Flows grouped by reporting switch, both levels sorted."""
-        groups: dict[str, list] = {}
-        for flow in traffic:
-            sw = self.topology.attachment_switch(flow.src)
-            groups.setdefault(sw, []).append(flow)
-        return [
-            (sw, sorted(groups[sw], key=lambda f: f.flow_id)) for sw in sorted(groups)
-        ]
 
     # -- the epoch poll round ----------------------------------------------------
 
@@ -111,80 +109,89 @@ class DegradedStatsCollector:
             )
         self._next_epoch = epoch + 1
 
-        samples: dict[str, list[float]] = {}
-        gaps: dict[str, int] = {}
-        n_rounds = n_lost = n_stale = n_delayed = 0
-
+        att = self.topology.attachment_switch
+        rows = sorted((att(f.src), f.flow_id, f.demand_bps) for f in traffic)
+        ids = np.array([r[1] for r in rows], dtype=str)
+        demand = np.array([r[2] for r in rows], dtype=float)
+        gaps = np.zeros(len(rows), dtype=np.int64)
+        late = self._pending.pop(epoch, [])
+        # Every id the stream can name, sorted: samples are keyed by
+        # rank, so late replies for departed flows need ranks too.
+        names = np.unique(np.concatenate([ids, *(i for i, _ in late)]))
+        rank = np.searchsorted(names, ids)
+        # The sample stream as (rank, rate) chunks in arrival order.
         # Late batches emitted in an earlier epoch land first — data a
         # real controller receives after the optimizer already ran.
-        for batch in self._pending.pop(epoch, ()):
-            for fid in sorted(batch):
-                samples.setdefault(fid, []).append(batch[fid])
+        keys = [np.searchsorted(names, i) for i, _ in late]
+        values = [v for _, v in late]
+        n_rounds = n_lost = n_stale = n_delayed = 0
 
         p_loss = self.profile.stats_loss_prob
         p_stale = self.profile.stale_prob
         p_delay = self.profile.delay_prob
         noise = self.profile.noise_frac
 
-        for switch, flows in self._by_switch(traffic):
+        lo = 0
+        for switch, block in groupby(r[0] for r in rows):
+            hi = lo + sum(1 for _ in block)
             rng = self.profile.rng_for(epoch, switch)
             for _ in range(n_polls):
-                self.polls_total += 1
                 n_rounds += 1
                 u = rng.random()
                 if u < p_loss:
-                    self.polls_lost += 1
                     n_lost += 1
-                    for f in flows:
-                        gaps[f.flow_id] = gaps.get(f.flow_id, 0) + 1
+                    gaps[lo:hi] += 1
                     continue
                 if u < p_loss + p_stale:
                     # Re-serve the last delivered counters; a switch that
                     # never answered cleanly has nothing to re-serve, so
                     # the poll degenerates to a loss.
-                    self.polls_stale += 1
                     n_stale += 1
-                    cached = self._last_good.get(switch)
-                    for f in flows:
-                        if cached is not None and f.flow_id in cached:
-                            samples.setdefault(f.flow_id, []).append(cached[f.flow_id])
-                        else:
-                            gaps[f.flow_id] = gaps.get(f.flow_id, 0) + 1
+                    c_ids, c_rates = self._last_good.get(switch, (ids[:0], demand[:0]))
+                    hit = np.isin(ids[lo:hi], c_ids)
+                    keys.append(rank[lo:hi][hit])
+                    values.append(c_rates[np.searchsorted(c_ids, ids[lo:hi][hit])])
+                    gaps[lo:hi] += ~hit
                     continue
-                values = self._noisy_values(flows, rng, noise)
+                # True rates with bounded multiplicative counter error.
+                scale = 1.0 + rng.uniform(-noise, noise, size=hi - lo) if noise > 0.0 else 1.0
+                reply = (ids[lo:hi], np.maximum(0.0, demand[lo:hi] * scale))
                 if u < p_loss + p_stale + p_delay:
                     # The reply is in flight but late: it surfaces next
                     # epoch, and this epoch's poll window stays empty.
-                    self.polls_delayed += 1
                     n_delayed += 1
-                    self._pending.setdefault(epoch + 1, []).append(values)
-                    for f in flows:
-                        gaps[f.flow_id] = gaps.get(f.flow_id, 0) + 1
+                    self._pending.setdefault(epoch + 1, []).append(reply)
+                    gaps[lo:hi] += 1
                     continue
-                for fid in sorted(values):
-                    samples.setdefault(fid, []).append(values[fid])
-                self._last_good[switch] = values
+                keys.append(rank[lo:hi])
+                values.append(reply[1])
+                self._last_good[switch] = reply
+            lo = hi
+        self.polls_total += n_rounds
+        self.polls_lost += n_lost
+        self.polls_stale += n_stale
+        self.polls_delayed += n_delayed
 
+        # One stable sort groups the stream by flow and keeps each
+        # flow's samples in arrival order.
+        key = np.concatenate([np.zeros(0, dtype=np.intp), *keys])
+        counts = np.bincount(key, minlength=names.size)
+        sampled = np.flatnonzero(counts)
+        gap_counts = np.zeros(names.size, dtype=np.int64)
+        gap_counts[rank] = gaps
+        gapped = np.flatnonzero(gap_counts)
         return ObservedBatch(
             epoch=epoch,
-            samples=samples,
-            gaps=gaps,
+            sample_ids=names[sampled].tolist(),
+            sample_counts=counts[sampled],
+            rates=np.concatenate([np.zeros(0), *values])[np.argsort(key, kind="stable")],
+            gap_ids=names[gapped].tolist(),
+            gap_counts=gap_counts[gapped],
             n_polls=n_rounds,
             n_lost=n_lost,
             n_stale=n_stale,
             n_delayed=n_delayed,
         )
-
-    def _noisy_values(self, flows, rng, noise: float) -> dict[str, float]:
-        """True rates with bounded multiplicative counter error."""
-        if noise > 0.0:
-            eps = rng.uniform(-noise, noise, size=len(flows))
-        else:
-            eps = np.zeros(len(flows))
-        return {
-            f.flow_id: max(0.0, f.demand_bps * (1.0 + float(e)))
-            for f, e in zip(flows, eps)
-        }
 
     # -- monitor feeding ---------------------------------------------------------
 
@@ -199,7 +206,7 @@ class DegradedStatsCollector:
         sample (sorted sample flows, then sorted gap flows) would.
         """
         batch = self.collect(epoch, traffic, n_polls=n_polls)
-        monitor.observe_batch(batch.samples, batch.gaps)
+        monitor.observe_batch(batch)
         return batch
 
     def accounting(self) -> dict:

@@ -85,6 +85,7 @@ class Topology:
         )
         self._links = tuple(sorted(canonical_link(u, v) for u, v in graph.edges()))
         self._switches_by_kind: dict[str, tuple[str, ...]] = {}
+        self._attachment = {h: next(iter(graph[h])) for h in self._hosts}
         self._fingerprint: str | None = None
 
     # -- structural accessors ------------------------------------------------
@@ -177,9 +178,10 @@ class Topology:
 
     def attachment_switch(self, host: str) -> str:
         """The single switch a host attaches to."""
-        if not self.is_host(host):
+        switch = self._attachment.get(host)
+        if switch is None:
             raise ConfigurationError(f"{host!r} is not a host")
-        return next(iter(self._graph[host]))
+        return switch
 
     def switch_links(self, switch: str) -> tuple[Link, ...]:
         """All links incident to ``switch``, canonicalized."""

@@ -13,6 +13,7 @@ from repro.errors import ConfigurationError, InfeasibleError
 from repro.flows import Flow, FlowClass, TrafficSet, combined_traffic, search_flows
 from repro.topology import FatTree, aggregation_policy
 from repro.units import MBPS
+from repro.workloads import SearchWorkload
 
 FT = FatTree(4)
 FT8 = FatTree(8)
@@ -179,6 +180,13 @@ class TestRouteOnSubnet:
         foreign = aggregation_policy(FatTree(4), 1)
         with pytest.raises(ConfigurationError, match="different topology"):
             GreedyConsolidator(ft4, allowed_subnet=foreign)
+
+    def test_foreign_host_is_a_configuration_error(self, ft4):
+        """Traffic of a larger fat-tree names hosts ``ft4`` lacks: a
+        caller mistake, reported with the host's name."""
+        traffic = SearchWorkload(FatTree(6)).traffic(0.1, seed_or_rng=0)
+        with pytest.raises(ConfigurationError, match="h5_0_0"):
+            GreedyConsolidator(ft4).consolidate(traffic, 1.0)
 
 
 class TestSearchFlowsKExample:

@@ -14,6 +14,7 @@ from repro.errors import ConfigurationError
 from repro.flows import combined_traffic
 from repro.netsim import Routing
 from repro.topology import aggregation_policy
+from tests.oracles.telemetry import batch_from_dicts
 
 
 class TestTrafficMonitor:
@@ -33,7 +34,7 @@ class TestTrafficMonitor:
 
     def test_epoch_batch(self):
         m = TrafficMonitor()
-        m.observe_epoch({"a": [1.0, 2.0], "b": [3.0]})
+        m.observe_batch(batch_from_dicts({"a": [1.0, 2.0], "b": [3.0]}, {}))
         assert m.n_tracked_flows() == 2
         assert m.has_prediction("a")
 

@@ -1,5 +1,5 @@
 """Delta consolidation: warm-start equivalence, churn classification,
-fallback ladder, controller plumbing and the repair fast path."""
+fallback ladder and controller plumbing."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 from repro.consolidation import (
     DeltaConsolidator,
     GreedyConsolidator,
-    local_repair,
     validate_result,
 )
 from repro.consolidation.delta import (
@@ -290,35 +289,3 @@ class TestControllerPlumbing:
         c.run_epoch(epochs[2])
         assert c.delta.last_stats.fallback_reason == FALLBACK_INVALIDATED
         assert c.delta.last_invalidation_cause == "rollback"
-
-
-class TestRepairWarmState:
-    def test_warm_repair_matches_cold_repair(self, ft4):
-        """With K=1, integer demands and the same traffic the warm-state
-        residuals are exact, so warm and cold repair agree exactly."""
-        h = ft4.hosts
-        flows = [bg(f"f{i:02d}", h[i], h[(i + 5) % len(h)], (10 + i) * 1e6) for i in range(10)]
-        traffic = TrafficSet(flows)
-        # All-on allowed subnet: a killed aggregation switch leaves its
-        # pod's twin alive, so local repair has somewhere to go.
-        inner = GreedyConsolidator(ft4, allowed_subnet=ft4.full_subnet())
-        delta = DeltaConsolidator(inner, drift_bound=0.5)
-        res = delta.consolidate(traffic, 1.0)
-
-        carried = {
-            n for _, p in res.routing.items() for n in p if ft4.is_switch(n)
-        }
-        victim = sorted(s for s in carried if s.startswith("a"))[0]
-        degraded = res.subnet.without({victim}, ())
-
-        cold = local_repair(degraded, traffic, res.routing, scale_factor=1.0)
-        warm = local_repair(
-            degraded, traffic, res.routing, scale_factor=1.0, warm_state=delta
-        )
-        assert dict(cold.routing.items()) == dict(warm.routing.items())
-        assert cold.subnet.links_on == warm.subnet.links_on
-        assert cold.repaired_flows == warm.repaired_flows
-
-    def test_warm_repair_requires_warm_state(self, ft4):
-        delta = DeltaConsolidator(ft4, drift_bound=0.5)
-        assert delta.repair_residuals(["nope"]) is None

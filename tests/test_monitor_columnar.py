@@ -2,14 +2,16 @@
 
 The monitor keeps every flow's poll window in one columnar store and
 computes all percentiles and window means in a vectorized pass.  The
-reference below is the per-flow design it replaced: a dict of
-:class:`PercentilePredictor` in least-recently-observed order.  Both are
-driven through random interleavings of observes, gaps, batches, prunes,
-forgets and evictions, and must agree bit for bit.
+reference (:class:`tests.oracles.telemetry.ReferenceMonitor`) is the
+per-flow design it replaced: a dict of :class:`PercentilePredictor` in
+least-recently-observed order.  Both are driven through random
+interleavings of observes, gaps, batches, prunes, forgets and
+evictions, and must agree bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import pickle
 
@@ -25,107 +27,7 @@ from repro.flows.flow import Flow, FlowClass
 from repro.flows.prediction import PercentilePredictor
 from repro.flows.traffic import TrafficSet
 from repro.telemetry import DegradedStatsCollector, TelemetryProfile
-
-
-class ReferenceMonitor:
-    """The per-flow monitor: one ``PercentilePredictor`` per tracked flow."""
-
-    def __init__(self, q, window, max_tracked_flows=None, staleness_inflation=0.0):
-        self.q = q
-        self.window = window
-        self.max_tracked_flows = max_tracked_flows
-        self.staleness_inflation = staleness_inflation
-        self.predictors: dict[str, PercentilePredictor] = {}
-        self.last_good: dict[str, float] = {}
-        self.evictions = 0
-        self.fallbacks = 0
-
-    def _predictor(self, fid):
-        p = self.predictors.pop(fid, None)
-        if p is None:
-            if (
-                self.max_tracked_flows is not None
-                and len(self.predictors) >= self.max_tracked_flows
-            ):
-                oldest = next(iter(self.predictors))
-                del self.predictors[oldest]
-                self.last_good.pop(oldest, None)
-                self.evictions += 1
-            p = PercentilePredictor(q=self.q, window=self.window)
-        self.predictors[fid] = p
-        return p
-
-    def observe(self, fid, rate):
-        self._predictor(fid).observe(rate)
-
-    def observe_gap(self, fid):
-        self._predictor(fid).record_gap()
-
-    def observe_batch(self, samples, gaps):
-        for fid in sorted(samples):
-            for rate in samples[fid]:
-                self.observe(fid, rate)
-        for fid in sorted(gaps):
-            for _ in range(gaps[fid]):
-                self.observe_gap(fid)
-
-    def has_prediction(self, fid):
-        p = self.predictors.get(fid)
-        return p is not None and p.n_samples > 0
-
-    def gap_fraction(self, fid):
-        p = self.predictors.get(fid)
-        return p.gap_fraction if p is not None else 0.0
-
-    def predicted_demands(self, base):
-        out = {}
-        for flow in base:
-            fid = flow.flow_id
-            p = self.predictors.get(fid)
-            if p is not None and p.n_samples > 0:
-                predicted = max(p.predict(), 1.0)
-                gap = p.gap_fraction
-                if self.staleness_inflation > 0.0 and gap > 0.0:
-                    predicted *= 1.0 + self.staleness_inflation * gap
-                self.last_good[fid] = predicted
-                out[fid] = predicted
-            elif p is not None and fid in self.last_good:
-                self.fallbacks += 1
-                out[fid] = self.last_good[fid]
-            else:
-                out[fid] = flow.demand_bps
-        return out
-
-    def observed_demands(self, base):
-        out = {}
-        for flow in base:
-            p = self.predictors.get(flow.flow_id)
-            if p is not None and p.n_samples > 0:
-                out[flow.flow_id] = max(p.window_mean(), 1.0)
-            else:
-                out[flow.flow_id] = flow.demand_bps
-        return out
-
-    def forget(self, fid):
-        self.predictors.pop(fid, None)
-        self.last_good.pop(fid, None)
-
-    def prune(self, active):
-        active = set(active)
-        departed = [fid for fid in self.predictors if fid not in active]
-        for fid in departed:
-            del self.predictors[fid]
-            self.last_good.pop(fid, None)
-        return len(departed)
-
-    def telemetry_counters(self):
-        return {
-            "tracked_flows": len(self.predictors),
-            "evictions": self.evictions,
-            "fallbacks": self.fallbacks,
-            "window_gaps": sum(p.n_gaps for p in self.predictors.values()),
-            "total_gaps": sum(p.total_gaps for p in self.predictors.values()),
-        }
+from tests.oracles.telemetry import ReferenceMonitor, batch_from_dicts, batch_to_dicts
 
 
 FLOW_IDS = [f"f{i}" for i in range(6)]
@@ -211,7 +113,7 @@ class TestAgainstReference:
                 monitor.observe_gap(op[1])
                 ref.observe_gap(op[1])
             elif kind == "batch":
-                monitor.observe_batch(op[1], op[2])
+                monitor.observe_batch(batch_from_dicts(op[1], op[2]))
                 ref.observe_batch(op[1], op[2])
             elif kind == "prune":
                 assert monitor.prune(op[1]) == ref.prune(op[1])
@@ -238,7 +140,7 @@ class TestAgainstReference:
                 for fid in FLOW_IDS[: 3 + epoch % 3]
             }
             gaps = {fid: int(rng.integers(0, window // 2)) for fid in FLOW_IDS[2:]}
-            monitor.observe_batch(samples, gaps)
+            monitor.observe_batch(batch_from_dicts(samples, gaps))
             ref.observe_batch(samples, gaps)
             assert_same_traffic(monitor, ref, BASE)
             assert_same_state(monitor, ref)
@@ -261,12 +163,13 @@ class TestCollectorFeed:
             traffic = workload.traffic(0.3, seed_or_rng=epoch)
             batch = fed.feed(monitor, epoch, traffic, n_polls=4)
             again = looped.collect(epoch, traffic, n_polls=4)
-            assert (batch.samples, batch.gaps) == (again.samples, again.gaps)
-            for fid in sorted(again.samples):
-                for rate in again.samples[fid]:
+            samples, gaps = batch_to_dicts(again)
+            assert batch_to_dicts(batch) == (samples, gaps)
+            for fid in sorted(samples):
+                for rate in samples[fid]:
                     ref.observe(fid, rate)
-            for fid in sorted(again.gaps):
-                for _ in range(again.gaps[fid]):
+            for fid in sorted(gaps):
+                for _ in range(gaps[fid]):
                     ref.observe_gap(fid)
             monitor.prune(f.flow_id for f in traffic)
             ref.prune(f.flow_id for f in traffic)
@@ -301,15 +204,30 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             m.observe("a", bad)
         with pytest.raises(ConfigurationError):
-            m.observe_batch({"a": [1.0, bad]}, {})
-        with pytest.raises(ConfigurationError):
-            m.observe_epoch({"a": [bad]})
+            m.observe_batch(batch_from_dicts({"a": [1.0], "b": [1.0, bad]}, {"c": 2}))
         # A rejected batch leaves no trace.
         assert m.n_tracked_flows() == 0
 
     def test_monitor_rejects_negative_gap_counts(self):
         with pytest.raises(ConfigurationError):
-            TrafficMonitor(window=4).observe_batch({}, {"a": -1})
+            TrafficMonitor(window=4).observe_batch(batch_from_dicts({}, {"a": -1}))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sample_ids", ["b", "a"]),
+            ("sample_ids", ["a", "a"]),
+            ("sample_counts", np.array([2, 0])),
+            ("sample_counts", np.array([1, 1])),
+            ("gap_ids", ["c"]),
+        ],
+    )
+    def test_monitor_rejects_malformed_batches(self, field, value):
+        batch = batch_from_dicts({"a": [1.0], "b": [2.0, 3.0]}, {"a": 1, "c": 2})
+        m = TrafficMonitor(window=4)
+        with pytest.raises(ConfigurationError):
+            m.observe_batch(dataclasses.replace(batch, **{field: value}))
+        assert m.n_tracked_flows() == 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_predictor_rejects_non_finite_rates(self, bad):

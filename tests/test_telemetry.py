@@ -21,6 +21,14 @@ from repro.telemetry import (
     TelemetryProfile,
 )
 from tests.oracles.network import ReferenceGreedyConsolidator, ReferenceNetworkModel
+from tests.oracles.telemetry import batch_to_dicts
+
+
+def same_batch(a, b):
+    """Equal ids, counts and rates (bit for bit) and equal counters."""
+    return batch_to_dicts(a) == batch_to_dicts(b) and (
+        a.epoch, a.n_polls, a.n_lost, a.n_stale, a.n_delayed
+    ) == (b.epoch, b.n_polls, b.n_lost, b.n_stale, b.n_delayed)
 
 
 @pytest.fixture(scope="module")
@@ -79,11 +87,12 @@ class TestDegradedStatsCollector:
         monitor = TrafficMonitor(window=10)
         batch = collector.feed(monitor, 0, traffic, n_polls=5)
         assert batch.n_lost == batch.n_stale == batch.n_delayed == 0
-        assert not batch.gaps
+        samples, gaps = batch_to_dicts(batch)
+        assert not gaps
         for flow in traffic:
-            assert len(batch.samples[flow.flow_id]) == 5
+            assert len(samples[flow.flow_id]) == 5
             # No noise: every delivered sample equals the true demand.
-            assert batch.samples[flow.flow_id] == [flow.demand_bps] * 5
+            assert samples[flow.flow_id] == [flow.demand_bps] * 5
             assert monitor.has_prediction(flow.flow_id)
 
     def test_total_loss_yields_only_gaps(self, workload, traffic):
@@ -91,10 +100,11 @@ class TestDegradedStatsCollector:
         collector = DegradedStatsCollector(workload.topology, profile)
         monitor = TrafficMonitor(window=10)
         batch = collector.feed(monitor, 0, traffic, n_polls=3)
-        assert not batch.samples
+        samples, gaps = batch_to_dicts(batch)
+        assert not samples
         assert batch.n_delivered_samples == 0
         for flow in traffic:
-            assert batch.gaps[flow.flow_id] == 3
+            assert gaps[flow.flow_id] == 3
             assert monitor.gap_fraction(flow.flow_id) == 1.0
         # Nothing was ever measured, so prediction keeps configured demands.
         predicted = monitor.predicted_traffic(traffic)
@@ -104,9 +114,9 @@ class TestDegradedStatsCollector:
     def test_noise_is_bounded(self, workload, traffic):
         profile = TelemetryProfile(noise_frac=0.2, seed=5)
         collector = DegradedStatsCollector(workload.topology, profile)
-        batch = collector.collect(0, traffic, n_polls=4)
+        samples, _ = batch_to_dicts(collector.collect(0, traffic, n_polls=4))
         for flow in traffic:
-            for sample in batch.samples[flow.flow_id]:
+            for sample in samples[flow.flow_id]:
                 assert 0.8 * flow.demand_bps <= sample <= 1.2 * flow.demand_bps
 
     def test_stale_reuses_last_good_rates(self, workload, traffic):
@@ -119,7 +129,7 @@ class TestDegradedStatsCollector:
         second = collector.collect(1, traffic, n_polls=2)
         assert second.n_stale > 0  # seed chosen so some switch goes stale
         by_flow_true = {f.flow_id: f.demand_bps for f in traffic}
-        for fid, samples in second.samples.items():
+        for fid, samples in batch_to_dicts(second)[0].items():
             for sample in samples:
                 assert sample == by_flow_true[fid]
         assert first.n_polls == second.n_polls
@@ -128,14 +138,14 @@ class TestDegradedStatsCollector:
         profile = TelemetryProfile(stale_prob=1.0, seed=2)
         collector = DegradedStatsCollector(workload.topology, profile)
         batch = collector.collect(0, traffic, n_polls=2)
-        assert not batch.samples
+        assert not batch.sample_ids
         assert batch.n_stale > 0
 
     def test_delayed_batches_arrive_next_epoch(self, workload, traffic):
         profile = TelemetryProfile(delay_prob=1.0, seed=4)
         collector = DegradedStatsCollector(workload.topology, profile)
         first = collector.collect(0, traffic, n_polls=2)
-        assert not first.samples  # everything in flight
+        assert not first.sample_ids  # everything in flight
         assert first.n_delayed > 0
         second = collector.collect(1, traffic, n_polls=2)
         # Epoch 1 delivers epoch 0's late batches in full (epoch 1's
@@ -143,8 +153,7 @@ class TestDegradedStatsCollector:
         # epoch-0 polls arrive, one sample each.
         n_flows = sum(1 for _ in traffic)
         assert second.n_delivered_samples == 2 * n_flows
-        for samples in second.samples.values():
-            assert len(samples) == 2
+        assert (second.sample_counts == 2).all()
 
     def test_deterministic_and_picklable_mid_run(self, workload, traffic):
         profile = TelemetryProfile(
@@ -153,10 +162,10 @@ class TestDegradedStatsCollector:
         )
         a = DegradedStatsCollector(workload.topology, profile)
         b = DegradedStatsCollector(workload.topology, profile)
-        assert a.collect(0, traffic) == b.collect(0, traffic)
+        assert same_batch(a.collect(0, traffic), b.collect(0, traffic))
         # Resuming from a pickle must continue the exact same stream.
         b = pickle.loads(pickle.dumps(b))
-        assert a.collect(1, traffic) == b.collect(1, traffic)
+        assert same_batch(a.collect(1, traffic), b.collect(1, traffic))
         assert a.accounting() == b.accounting()
 
     def test_epochs_must_increase(self, workload, traffic):

@@ -62,6 +62,8 @@ class TestTopologyValidation:
         assert tiny.attachment_switch("h1") == "s1"
         with pytest.raises(ConfigurationError):
             tiny.attachment_switch("s1")
+        with pytest.raises(ConfigurationError, match="h9"):
+            tiny.attachment_switch("h9")
 
     def test_capacity_lookup(self, tiny):
         assert tiny.capacity("h1", "s1") == pytest.approx(1e9)
