@@ -1,34 +1,33 @@
-"""Micro-benchmarks for the tabulated server-sim fast path.
+"""Micro-benchmarks for the server DES engines.
 
 Times fig12-style server-simulation points — a multi-core server under
-a VP governor at a given (utilization, latency constraint) — for both
-the ``tabulated`` (:mod:`repro.simfast`) and ``reference`` governor
-engines, and emits a machine-readable ``BENCH_server.json`` with wall
-times, events/s, decisions/s and the tabulated/reference speedup.
+a VP governor at a given (utilization, latency constraint) — on the
+one-point tabulated engine (:mod:`repro.simfast`), and emits a
+machine-readable ``BENCH_server.json`` with wall times, events/s and
+decisions/s.
 
 It also benchmarks the **lockstep multipoint engine** on a whole
 constraint grid: one :func:`~repro.simfast.run_multipoint_simulation`
 pass over ``--grid-points`` constraints versus the same grid as
-per-point ``engine="tabulated"`` runs, asserting bit-identical results
-per point.  The grid row records an honest Amdahl split:
-``des_floor_s`` is the slowest *single-point* scalar run — the one
-full event-stream pass the lockstep engine can never go below — so
-``amdahl_max_speedup = scalar_warm / des_floor_s`` bounds what any
-grid fusion could achieve at that window.
+per-point one-point runs, asserting bit-identical results per point.
+The grid row records an honest Amdahl split: ``des_floor_s`` is the
+slowest *single-point* scalar run — the one full event-stream pass the
+lockstep engine can never go below — so ``amdahl_max_speedup =
+scalar_warm / des_floor_s`` bounds what any grid fusion could achieve
+at that window.
 
 Run as a module (the repository root on ``sys.path`` and ``src`` on
 ``PYTHONPATH``)::
 
     PYTHONPATH=src python -m benchmarks.bench_server --duration 60
-    PYTHONPATH=src python -m benchmarks.bench_server --quick --engine multipoint
+    PYTHONPATH=src python -m benchmarks.bench_server --quick --repeats 1
 
-Each engine is timed cold (first run in the process — the tabulated
-engine pays VP-table construction, which subsequent same-process runs
-share through :func:`repro.simfast.shared_table_engine`) and warm
-(best of ``--repeats`` further runs).  Both engines must produce
-bit-identical :class:`~repro.sim.runner.ServerSimResult` outputs on
-every point — the benchmark asserts it, the equivalence test suite
-enforces it more broadly.
+Each point is timed cold (first run in the process — it pays VP-table
+construction, which subsequent same-process runs share through
+:func:`repro.simfast.shared_table_engine`) and warm (best of
+``--repeats`` further runs), asserting run-to-run identical results.
+Equivalence with the mixture-evaluation oracle is the test suite's job
+(``tests/test_simfast_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ from repro.simfast import (
     run_multipoint_simulation,
 )
 
-ENGINES = ("reference", "tabulated")
-
 #: The multipoint grid sweeps the fig. 12(b) constraint band.
 GRID_CONSTRAINT_RANGE_MS = (18.0, 40.0)
 
@@ -73,20 +70,19 @@ DEFAULT_POINTS = (
 )
 
 
-def _run_point(governor_cls, service_model, config, engine):
+def _run_point(governor_cls, service_model, config):
     """One instrumented run: (result, n_events, n_decisions)."""
     stats: dict = {}
     result = run_server_simulation(
         service_model,
         lambda: governor_cls(service_model, XEON_LADDER),
         config,
-        engine=engine,
         stats_out=stats,
     )
     return result, stats["n_events"], stats["n_decisions"]
 
 
-def bench_point(name, utilization, constraint_s, engines, duration_s, n_cores, seed, repeats):
+def bench_point(name, utilization, constraint_s, duration_s, n_cores, seed, repeats):
     service_model = default_service_model()
     config = ServerSimConfig(
         utilization=utilization,
@@ -97,54 +93,34 @@ def bench_point(name, utilization, constraint_s, engines, duration_s, n_cores, s
         seed=seed,
     )
     governor_cls = GOVERNORS[name]
-    row = {
+    # Charge the cold run the full table build, as a fresh worker
+    # process would pay it.
+    clear_shared_engines()
+    t0 = time.perf_counter()
+    result, n_events, n_decisions = _run_point(governor_cls, service_model, config)
+    t_cold = time.perf_counter() - t0
+    t_warm = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        again, n_events, n_decisions = _run_point(governor_cls, service_model, config)
+        t_warm = min(t_warm, time.perf_counter() - t0)
+        if again != result:
+            raise AssertionError(f"{name}: run-to-run mismatch")
+    return {
         "governor": name,
         "utilization": utilization,
         "constraint_ms": constraint_s * 1e3,
         "n_cores": n_cores,
         "duration_s": duration_s,
-        "engines": {},
+        "cold_s": t_cold,
+        "warm_s": t_warm,
+        "n_events": n_events,
+        "n_decisions": n_decisions,
+        "events_per_s_warm": n_events / t_warm,
+        "decisions_per_s_warm": n_decisions / t_warm,
+        "cpu_power_w": result.cpu_power_watts,
+        "p95_ms": result.total_latency.p95 * 1e3,
     }
-    results = {}
-    for engine in engines:
-        if engine == "tabulated":
-            # Charge the cold run the full table build, as a fresh
-            # worker process would pay it.
-            clear_shared_engines()
-        t0 = time.perf_counter()
-        result, n_events, n_decisions = _run_point(
-            governor_cls, service_model, config, engine
-        )
-        t_cold = time.perf_counter() - t0
-        t_warm = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            again, n_events, n_decisions = _run_point(
-                governor_cls, service_model, config, engine
-            )
-            t_warm = min(t_warm, time.perf_counter() - t0)
-            if again != result:
-                raise AssertionError(f"{name}/{engine}: run-to-run mismatch")
-        results[engine] = result
-        row["engines"][engine] = {
-            "cold_s": t_cold,
-            "warm_s": t_warm,
-            "n_events": n_events,
-            "n_decisions": n_decisions,
-            "events_per_s_warm": n_events / t_warm,
-            "decisions_per_s_warm": n_decisions / t_warm,
-            "cpu_power_w": result.cpu_power_watts,
-            "p95_ms": result.total_latency.p95 * 1e3,
-        }
-    if all(e in results for e in ENGINES):
-        if results["reference"] != results["tabulated"]:
-            raise AssertionError(f"{name}: engines disagree on the simulation result")
-        ref, tab = row["engines"]["reference"], row["engines"]["tabulated"]
-        row["speedups"] = {
-            "cold": ref["cold_s"] / tab["cold_s"],
-            "warm": ref["warm_s"] / tab["warm_s"],
-        }
-    return row
 
 
 def bench_grid(name, utilization, n_points, duration_s, n_cores, seed, repeats):
@@ -177,9 +153,7 @@ def bench_grid(name, utilization, n_points, duration_s, n_cores, seed, repeats):
         grid = []
         for cfg in configs:
             t0 = time.perf_counter()
-            grid.append(
-                run_server_simulation(service_model, factory, cfg, engine="tabulated")
-            )
+            grid.append(run_server_simulation(service_model, factory, cfg))
             timings.append(time.perf_counter() - t0)
         return grid, timings
 
@@ -245,12 +219,6 @@ def bench_grid(name, utilization, n_points, duration_s, n_cores, seed, repeats):
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--engines", nargs="+", default=list(ENGINES), choices=ENGINES)
-    parser.add_argument(
-        "--engine", choices=ENGINES + ("multipoint",), default=None,
-        help="benchmark one engine; 'multipoint' runs only the lockstep "
-        "grid benchmark (vs its per-point tabulated baseline)",
-    )
     parser.add_argument("--duration", type=float, default=60.0)
     parser.add_argument("--n-cores", type=int, default=2)
     parser.add_argument("--seed", type=int, default=3)
@@ -270,53 +238,40 @@ def main(argv=None) -> None:
     duration = min(args.duration, 12.0) if args.quick else args.duration
     grid_points = min(args.grid_points, 8) if args.quick else args.grid_points
     grid_repeats = 1 if args.quick else max(1, args.repeats - 1)
-    engines = [args.engine] if args.engine in ENGINES else args.engines
-    grid_only = args.engine == "multipoint"
 
     results = []
-    if not grid_only:
-        for name, utilization, constraint_s in points:
-            row = bench_point(
-                name, utilization, constraint_s, engines,
-                duration, args.n_cores, args.seed, args.repeats,
-            )
-            results.append(row)
-            print(f"{name} u={utilization:.0%} L={constraint_s * 1e3:.0f}ms:")
-            for engine, r in row["engines"].items():
-                print(
-                    f"  {engine:10s} cold={r['cold_s']:.2f}s warm={r['warm_s']:.2f}s "
-                    f"events/s={r['events_per_s_warm']:,.0f} "
-                    f"decisions/s={r['decisions_per_s_warm']:,.0f}"
-                )
-            if "speedups" in row:
-                s = row["speedups"]
-                print(f"  speedup    cold={s['cold']:.1f}x warm={s['warm']:.1f}x")
+    for name, utilization, constraint_s in points:
+        row = bench_point(
+            name, utilization, constraint_s, duration, args.n_cores, args.seed, args.repeats,
+        )
+        results.append(row)
+        print(
+            f"{name} u={utilization:.0%} L={constraint_s * 1e3:.0f}ms: "
+            f"cold={row['cold_s']:.2f}s warm={row['warm_s']:.2f}s "
+            f"events/s={row['events_per_s_warm']:,.0f} "
+            f"decisions/s={row['decisions_per_s_warm']:,.0f}"
+        )
 
-    if grid_only or args.engine is None:
-        grid = bench_grid(
-            "eprons-server", 0.3, grid_points,
-            duration, args.n_cores, args.seed, grid_repeats,
-        )
-        results.append(grid)
-        print(
-            f"multipoint grid ({grid['n_points']} constraints, "
-            f"{duration:.0f}s windows):"
-        )
-        print(
-            f"  scalar     cold={grid['scalar']['cold_s']:.2f}s "
-            f"warm={grid['scalar']['warm_s']:.2f}s"
-        )
-        mp = grid["multipoint"]
-        print(
-            f"  multipoint cold={mp['cold_s']:.2f}s warm={mp['warm_s']:.2f}s "
-            f"(forks={mp['n_forks']}, merges={mp['n_merges']})"
-        )
-        print(
-            f"  speedup    cold={grid['speedup']['cold']:.2f}x "
-            f"warm={grid['speedup']['warm']:.2f}x "
-            f"(Amdahl ceiling {grid['amdahl_max_speedup']:.1f}x, "
-            f"des_floor={grid['des_floor_s']:.2f}s)"
-        )
+    grid = bench_grid(
+        "eprons-server", 0.3, grid_points, duration, args.n_cores, args.seed, grid_repeats,
+    )
+    results.append(grid)
+    print(f"multipoint grid ({grid['n_points']} constraints, {duration:.0f}s windows):")
+    print(
+        f"  scalar     cold={grid['scalar']['cold_s']:.2f}s "
+        f"warm={grid['scalar']['warm_s']:.2f}s"
+    )
+    mp = grid["multipoint"]
+    print(
+        f"  multipoint cold={mp['cold_s']:.2f}s warm={mp['warm_s']:.2f}s "
+        f"(forks={mp['n_forks']}, merges={mp['n_merges']})"
+    )
+    print(
+        f"  speedup    cold={grid['speedup']['cold']:.2f}x "
+        f"warm={grid['speedup']['warm']:.2f}x "
+        f"(Amdahl ceiling {grid['amdahl_max_speedup']:.1f}x, "
+        f"des_floor={grid['des_floor_s']:.2f}s)"
+    )
 
     payload = {
         "benchmark": "bench_server",

@@ -47,14 +47,6 @@ class JointSimParams:
     ``sim_cores`` cores are simulated for ``duration_s`` seconds; their
     average per-core power prices all ``n_servers * n_cores_per_server``
     cores in the fleet.
-
-    ``server_engine`` forces the governor decision engine of the
-    embedded server simulation (``"tabulated"`` — the
-    :mod:`repro.simfast` fast path — ``"reference"``, or
-    ``"multipoint"`` — the lockstep multi-point engine, bit-identical
-    to ``"tabulated"`` and batchable across grid points through
-    :func:`evaluate_operating_points`); ``None`` keeps each governor's
-    own default.
     """
 
     n_servers: int = 16
@@ -64,17 +56,12 @@ class JointSimParams:
     warmup_s: float = 2.0
     static_watts: float = 20.0
     seed: int = 0
-    server_engine: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_servers <= 0 or self.n_cores_per_server <= 0 or self.sim_cores <= 0:
             raise ConfigurationError("server/core counts must be positive")
         if not 0.0 <= self.warmup_s < self.duration_s:
             raise ConfigurationError("need 0 <= warmup < duration")
-        if self.server_engine not in (None, "tabulated", "reference", "multipoint"):
-            raise ConfigurationError(
-                f"unknown server engine {self.server_engine!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -111,7 +98,8 @@ def evaluate_operating_point(
 
     ``traffic`` must be the same flow set the consolidation routed —
     link utilizations (and hence network latencies) are computed from
-    its actual demands.
+    its actual demands.  The server runs on the one-point tabulated
+    engine; :func:`evaluate_operating_points` prices a grid in lockstep.
     """
     params = params or JointSimParams()
     switch_model = switch_model or SwitchPowerModel()
@@ -141,7 +129,6 @@ def evaluate_operating_point(
         governor_factory,
         config,
         network_latency_sampler=sampler,
-        engine=params.server_engine,
     )
 
     return _price(server, consolidation, params, switch_model, link_model)
@@ -197,9 +184,8 @@ def evaluate_operating_points(
     per utilization level, so the DES cost grows with the number of
     *distinct event orderings*, not the number of points.  Each
     returned :class:`JointEvaluation` is bit-identical to calling
-    :func:`evaluate_operating_point` on the same point with
-    ``server_engine="tabulated"`` (the multipoint equivalence
-    contract); results are in ``points`` order.
+    :func:`evaluate_operating_point` on the same point (the multipoint
+    equivalence contract); results are in ``points`` order.
     """
     from ..simfast.multipoint import MultipointPoint, run_multipoint_simulation
 

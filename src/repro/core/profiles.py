@@ -19,7 +19,7 @@ import numpy as np
 from ..consolidation.base import ConsolidationResult
 from ..errors import ConfigurationError
 from ..workloads.search import SearchWorkload
-from .joint import JointSimParams, evaluate_operating_point, evaluate_operating_points
+from .joint import JointSimParams, evaluate_operating_points
 
 __all__ = ["PowerProfile", "ProfileTable", "DEFAULT_UTIL_GRID"]
 
@@ -72,31 +72,19 @@ class PowerProfile:
         :func:`~repro.core.joint.evaluate_operating_points` call — the
         network model, latency monitor and pooled sampler are built
         once per profile and every grid point runs on the lockstep
-        multi-point server engine (bit-identical to the scalar
-        tabulated path, which ``params.server_engine == "reference"``
-        still selects for the golden-equality tests).
+        multi-point server engine (bit-identical per point to
+        :func:`~repro.core.joint.evaluate_operating_point`).
         """
         params = params or JointSimParams()
         powers, tails = [], []
         governor = "governor"
-        if params.server_engine == "reference":
-            evals = [
-                evaluate_operating_point(
-                    workload, traffic, consolidation, u, governor_factory, params=params
-                )
-                for u in util_grid
-            ]
-        else:
-            evals = evaluate_operating_points(
-                workload,
-                traffic,
-                consolidation,
-                [
-                    (workload.latency_constraint_s, u, governor_factory, None)
-                    for u in util_grid
-                ],
-                params=params,
-            )
+        evals = evaluate_operating_points(
+            workload,
+            traffic,
+            consolidation,
+            [(workload.latency_constraint_s, u, governor_factory, None) for u in util_grid],
+            params=params,
+        )
         for ev in evals:
             powers.append(ev.server_result.cpu_power_watts / params.sim_cores)
             tails.append(ev.query_p95_s)

@@ -46,12 +46,6 @@ class ExecContext:
         Ambient :class:`~repro.exec.journal.RetryPolicy` fields applied
         to sweeps that do not pass an explicit policy; the defaults
         reproduce the historical single-shot, unbounded behaviour.
-    batch:
-        Whether the executor fuses cache-missing tasks of batchable ops
-        (:func:`~repro.exec.registry.register_batchable`) into
-        vectorized batch calls.  Fusion is value-transparent: outcomes,
-        per-point cache entries and journal records are identical to
-        scalar dispatch (``--no-batch`` to disable).
     """
 
     jobs: int = 1
@@ -62,7 +56,6 @@ class ExecContext:
     max_retries: int = 0
     backoff_base_s: float = 0.0
     timeout_s: float | None = None
-    batch: bool = True
 
     def __post_init__(self) -> None:
         if self.jobs < 1:

@@ -45,9 +45,10 @@ Two dispatch optimizations are value-transparent:
   the per-point loop.  Outcomes are scattered back to the original
   indices; the cache records per-point entries and the journal per-
   point digests, so warm runs and ``--resume`` are indistinguishable
-  from scalar dispatch.  A fused unit that fails wholesale is retried
-  member-by-member as scalars.  ``ctx.batch=False`` dispatches every
-  task as a scalar.
+  from scalar dispatch.  A fused ``joint-eval`` group runs its server
+  DES in lockstep (:func:`~repro.exec.ops.joint_eval_batch_op`); a
+  single task runs the one-point engine.  A fused unit that fails
+  wholesale is retried member-by-member as scalars.
 
 Results are memoized through :mod:`repro.exec.cache`; fully warm sweeps
 never spin up a process pool at all.
@@ -155,14 +156,9 @@ def _worker_init(ctx: ExecContext) -> None:
 
 def _worker_context(ctx: ExecContext) -> ExecContext:
     """The context a task runs under inside a worker: serial, same
-    cache/batch flags, journal and retry fields dropped (journaling
-    and retrying are the parent's job)."""
-    return ExecContext(
-        jobs=1,
-        cache=ctx.cache,
-        cache_dir=ctx.resolved_cache_dir(),
-        batch=ctx.batch,
-    )
+    cache flag, journal and retry fields dropped (journaling and
+    retrying are the parent's job)."""
+    return ExecContext(jobs=1, cache=ctx.cache, cache_dir=ctx.resolved_cache_dir())
 
 
 def _execute_task(task: SweepTask) -> TaskOutcome:
@@ -434,10 +430,9 @@ def run_sweep(
     (the default :class:`~repro.exec.journal.RetryPolicy` reproduces the
     historical single-shot behaviour exactly).
 
-    Misses of batchable ops are fused into vectorized batch calls when
-    ``ctx.batch`` is set (see module docstring); cache entries, journal
-    records and outcomes stay per-point, so this is invisible to
-    everything downstream.
+    Misses of batchable ops are fused into vectorized batch calls (see
+    module docstring); cache entries, journal records and outcomes stay
+    per-point, so this is invisible to everything downstream.
     """
     ctx = ctx or get_context()
     if policy is None:
@@ -498,12 +493,7 @@ def run_sweep(
         descoped: set[int] = set()
         attempt = 0
         while pending:
-            if ctx.batch:
-                units = _fuse_round(tasks, pending, descoped)
-            else:
-                units = [
-                    _DispatchUnit(wire=tasks[i], members=(i,)) for i in pending
-                ]
+            units = _fuse_round(tasks, pending, descoped)
             round_results, fused_failed = _run_round(
                 tasks, units, ctx, policy.timeout_s
             )

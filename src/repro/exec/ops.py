@@ -14,6 +14,11 @@ and the ablations' all share the single ``consolidate`` op.
 Governors are named, not passed as callables (closures don't pickle);
 :func:`governor_factory` is the one place the name → policy mapping
 lives.
+
+The call shape picks the server DES engine: a single point
+(``server-sim``, ``joint-eval``) runs on the one-point tabulated
+engine, a fused ``joint-eval-batch`` group on the lockstep multi-point
+engine.  No op takes an engine argument.
 """
 
 from __future__ import annotations
@@ -22,7 +27,12 @@ from ..consolidation.elastictree import ElasticTreeConsolidator
 from ..consolidation.heuristic import GreedyConsolidator, route_on_subnet
 from ..control.controller import SdnController
 from ..control.latency_monitor import LatencyMonitor
-from ..core.joint import JointEvaluation, JointSimParams, evaluate_operating_point
+from ..core.joint import (
+    JointEvaluation,
+    JointSimParams,
+    evaluate_operating_point,
+    evaluate_operating_points,
+)
 from ..errors import ConfigurationError, InfeasibleError
 from ..faults import FaultInjector, FaultSchedule
 from ..netsim.network import NetworkModel
@@ -461,7 +471,6 @@ def server_sim_op(
     n_cores: int,
     seed: int,
     sleep: str = "none",
-    engine: str | None = None,
 ) -> ServerSimResult:
     """One server-simulation run (the Fig. 12 unit of work).
 
@@ -470,14 +479,12 @@ def server_sim_op(
     power-managed here" setup; the underlying consolidation solve is
     itself cache-shared with every other figure at the same traffic.
 
-    ``engine`` selects the governor decision engine (``"tabulated"`` /
-    ``"reference"`` / ``"multipoint"`` — the lockstep engine, which for
-    a single point behaves exactly like tabulated; ``None`` keeps the
-    governor default, which is tabulated for the VP family).  Tabulated governors fetch their VP
-    tables from the process-wide :func:`repro.simfast.shared_table_engine`
-    registry, so every server-sim task a warm worker executes for the
-    same (service model, ladder) pair reuses one set of tables instead
-    of rebuilding them per point.
+    A single point runs on the one-point tabulated engine.  VP
+    governors fetch their tables from the process-wide
+    :func:`repro.simfast.shared_table_engine` registry, so every
+    server-sim task a warm worker executes for the same (service model,
+    ladder) pair reuses one set of tables instead of rebuilding them
+    per point.
     """
     workload = workload_for(arity, constraint_ms)
     consolidation = _cached_consolidation(
@@ -502,7 +509,6 @@ def server_sim_op(
         config,
         network_latency_sampler=sampler,
         sleep_model=_SLEEP_MODELS[sleep],
-        engine=engine,
     )
 
 
@@ -570,8 +576,12 @@ def joint_eval_batch_op(
     the identical traffic *per point*; here they are hoisted and solved
     once for the whole grid — the latency constraint affects neither
     (``SearchWorkload.traffic`` ignores it, and ``with_constraint`` is
-    a field replace on the same topology/service model), so every point
-    value is bit-identical to its scalar twin.
+    a field replace on the same topology/service model).  The pending
+    points then run through one lockstep
+    :func:`~repro.core.joint.evaluate_operating_points` call, so every
+    point value is bit-identical to its scalar twin.  Should that call
+    raise, each point is re-run on its own, so one bad point does not
+    poison its siblings.
 
     Returns one executor payload dict per point, aligned with
     ``points``.  Cache entries are written under each point's *scalar*
@@ -628,49 +638,35 @@ def joint_eval_batch_op(
     base = workload_for(arity)
     traffic = base.traffic(background, seed_or_rng=traffic_seed)
 
-    if params.server_engine == "multipoint" and len(todo) > 1:
-        # Lockstep fast path: all pending points of one utilization run
-        # through a single multi-point DES pass (bit-identical per point
-        # — the engine's equivalence contract).  A failing subgroup
-        # falls through to the scalar loop below, which deals with
-        # per-point errors exactly as before.
-        from ..core.joint import evaluate_operating_points
-
-        by_util: dict[float, list[int]] = {}
+    # Lockstep path: every pending point in one multi-point DES call
+    # (it groups them by utilization; bit-identical per point — the
+    # engine's equivalence contract).  If it raises, the scalar loop
+    # below re-runs each point on its own and sorts the failures into
+    # infeasible and error payloads.
+    start = perf_counter()
+    try:
+        group = []
         for i in todo:
-            by_util.setdefault(float(specs[i]["utilization"]), []).append(i)
-        remaining: list[int] = []
-        for utilization, idxs in by_util.items():
-            group_points = []
-            for i in idxs:
-                spec = specs[i]
-                wl = base.with_constraint(spec["constraint_ms"] * 1e-3)
-                group_points.append(
-                    (
-                        wl.latency_constraint_s,
-                        utilization,
-                        governor_factory(spec["governor"], wl),
-                        None,
-                    )
+            wl = base.with_constraint(specs[i]["constraint_ms"] * 1e-3)
+            group.append(
+                (
+                    wl.latency_constraint_s,
+                    specs[i]["utilization"],
+                    governor_factory(specs[i]["governor"], wl),
+                    None,
                 )
-            start = perf_counter()
-            try:
-                evals = evaluate_operating_points(
-                    base, traffic, consolidation, group_points, params=params
-                )
-            except Exception:  # noqa: BLE001 — scalar retry classifies
-                # the failure per point (infeasible vs error payload).
-                remaining.extend(idxs)
-                continue
-            amortized = (perf_counter() - start) / len(idxs)
-            for i, value in zip(idxs, evals):
-                cache.store("joint-eval", specs[i], STATUS_OK, value)
-                payloads[i] = {
-                    "status": STATUS_OK,
-                    "value": value,
-                    "duration_s": amortized,
-                }
-        todo = remaining
+            )
+        evals = evaluate_operating_points(
+            base, traffic, consolidation, group, params=params
+        )
+    except Exception:  # noqa: BLE001 — the scalar loop classifies it
+        pass
+    else:
+        amortized = (perf_counter() - start) / len(todo)
+        for i, value in zip(todo, evals):
+            cache.store("joint-eval", specs[i], STATUS_OK, value)
+            payloads[i] = {"status": STATUS_OK, "value": value, "duration_s": amortized}
+        return payloads
 
     for i in todo:
         spec = specs[i]

@@ -95,12 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="per-task wall-clock budget in seconds (enforced when --jobs > 1)",
     )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable fused batch dispatch of joint sweeps (scalar tasks "
-        "only; bit-identical reference mode)",
-    )
     return parser
 
 
@@ -133,7 +127,6 @@ def main(argv: list[str]) -> int:
             resume=args.resume,
             max_retries=args.retries,
             timeout_s=args.task_timeout,
-            batch=not args.no_batch,
         )
     )
 

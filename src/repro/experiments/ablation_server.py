@@ -36,7 +36,6 @@ def run(
     duration_s: float = 40.0,
     n_cores: int = 2,
     seed: int = 3,
-    engine: str | None = None,
 ) -> ExperimentResult:
     result = ExperimentResult(
         figure="ablation-server",
@@ -61,7 +60,6 @@ def run(
             warmup_s=min(duration_s / 3.0, 10.0),
             n_cores=n_cores,
             seed=seed,
-            engine=engine,
         )
         for gov in ABLATION_GOVERNORS
         for u in utilizations

@@ -7,18 +7,21 @@ frequency ``f_new`` sits below the max-VP choice ``f2``.
 Fig. 5: the violation probability of three equivalent requests versus
 the work achievable by the deadline, ω(D) — reading VP is just a CCDF
 lookup.
+
+Fig. 4 reads its VPs from the governors' own tables
+(:class:`~repro.simfast.tables.VPTableEngine`), so the frequencies it
+reports are the ones the Rubik and EPRONS-Server governors pick.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..policies.base import QueueSnapshot
-from ..policies.vp_common import EquivalentQueue
 from ..server.distributions import ConvolutionCache
 from ..server.dvfs import XEON_LADDER
 from ..server.service import default_service_model
-from ..units import GHZ, to_ghz
+from ..simfast.tables import shared_table_engine
+from ..units import to_ghz
 from .runner import ExperimentResult, register
 
 __all__ = ["run_fig4", "run_fig5"]
@@ -30,23 +33,19 @@ def run_fig4(
     target_vp: float = 0.05,
 ) -> ExperimentResult:
     """VP vs frequency for R1 and the equivalent R2e (queue of two)."""
-    svc = default_service_model()
-    cache = ConvolutionCache(svc.distribution)
-    snapshot = QueueSnapshot(
-        now=0.0,
-        in_service_completed_work=0.0,
-        in_service_deadline=deadline_r1_s,
-        queued_deadlines=(deadline_r2_s,),
-    )
-    eq = EquivalentQueue(snapshot, svc, cache)
+    tables = shared_table_engine(default_service_model(), XEON_LADDER)
+    # R1 in service (nothing done yet), R2 queued behind it.
+    deltas = np.array([deadline_r1_s, deadline_r2_s])
+    offset = tables.head_offset(0.0)
+    vp = tables.violation_probabilities(deltas, offset)
     result = ExperimentResult(
         figure="fig04",
         title="Violation probability vs frequency (R1, R2e, average)",
         columns=("freq_ghz", "vp_r1_pct", "vp_r2e_pct", "avg_vp_pct"),
         notes=f"SLA target: {target_vp:.0%} violation probability.",
     )
-    for f in XEON_LADDER:
-        vps = eq.violation_probabilities(f)
+    for fi, f in enumerate(tables.frequencies):
+        vps = vp[:, fi]
         result.add(
             to_ghz(f),
             float(vps[0]) * 100.0,
@@ -54,8 +53,8 @@ def run_fig4(
             float(vps.mean()) * 100.0,
         )
 
-    f_max_rule = XEON_LADDER.lowest_satisfying(lambda f: eq.max_vp(f) <= target_vp)
-    f_avg_rule = XEON_LADDER.lowest_satisfying(lambda f: eq.average_vp(f) <= target_vp)
+    f_max_rule = tables.decide(deltas, offset, "max", target_vp)
+    f_avg_rule = tables.decide(deltas, offset, "mean", target_vp)
     result.notes += (
         f"  Rubik rule picks f2={to_ghz(f_max_rule or XEON_LADDER.f_max):.1f} GHz; "
         f"EPRONS-Server picks f_new={to_ghz(f_avg_rule or XEON_LADDER.f_max):.1f} GHz."

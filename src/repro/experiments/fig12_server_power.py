@@ -33,7 +33,6 @@ def _scaled_cpu_power(result, n_cores_simulated: int, n_cores_server: int = 12) 
 
 def _sim_task(
     tag, governor, utilization, constraint_s, background, duration_s, n_cores, seed,
-    engine=None,
 ):
     return SweepTask.make(
         "server-sim",
@@ -47,7 +46,6 @@ def _sim_task(
         warmup_s=min(duration_s / 3.0, 20.0),
         n_cores=n_cores,
         seed=seed,
-        engine=engine,
     )
 
 
@@ -59,15 +57,8 @@ def run_utilization_sweep(
     duration_s: float = 60.0,
     n_cores: int = 2,
     seed: int = 3,
-    engine: str | None = None,
 ) -> ExperimentResult:
-    """Fig. 12(a): CPU power vs utilization per governor.
-
-    ``engine`` forces the governor decision engine (``"tabulated"`` /
-    ``"reference"`` / ``"multipoint"`` — the lockstep engine,
-    bit-identical to tabulated) on every point; ``None`` keeps
-    governor defaults.
-    """
+    """Fig. 12(a): CPU power vs utilization per governor."""
     result = ExperimentResult(
         figure="fig12a",
         title="CPU power vs server utilization (30 ms constraint)",
@@ -79,8 +70,7 @@ def run_utilization_sweep(
     )
     tasks = [
         _sim_task(
-            (gov, u), gov, u, constraint_s, background, duration_s, n_cores, seed,
-            engine=engine,
+            (gov, u), gov, u, constraint_s, background, duration_s, n_cores, seed
         )
         for gov in governors
         for u in utilizations
@@ -106,7 +96,6 @@ def run_constraint_sweep(
     duration_s: float = 60.0,
     n_cores: int = 2,
     seed: int = 3,
-    engine: str | None = None,
 ) -> ExperimentResult:
     """Fig. 12(b): CPU power vs tail-latency constraint at 30% load."""
     result = ExperimentResult(
@@ -121,7 +110,7 @@ def run_constraint_sweep(
     tasks = [
         _sim_task(
             (gov, L_ms), gov, utilization, L_ms * 1e-3, background, duration_s, n_cores,
-            seed, engine=engine,
+            seed,
         )
         for L_ms in constraints_ms
         for gov in governors
@@ -146,7 +135,6 @@ def run_heatmap(
     duration_s: float = 40.0,
     n_cores: int = 2,
     seed: int = 3,
-    engine: str | None = None,
 ) -> ExperimentResult:
     """Fig. 12(c): EPRONS-Server power across (utilization, constraint)."""
     result = ExperimentResult(
@@ -158,7 +146,7 @@ def run_heatmap(
     tasks = [
         _sim_task(
             (u, L_ms), "eprons-server", u, L_ms * 1e-3, background, duration_s, n_cores,
-            seed, engine=engine,
+            seed,
         )
         for L_ms in constraints_ms
         for u in utilizations

@@ -40,19 +40,14 @@ def build_tasks(
     params: JointSimParams | None = None,
     include_no_pm: bool = True,
     seed: int = 1,
-    server_engine: str | None = None,
 ) -> list[SweepTask]:
-    """The fig13 sweep grid as tasks (also used by bench_joint to
-    count fused dispatch units without re-deriving the grid).
+    """The fig13 sweep grid as tasks.
 
-    ``server_engine`` (used only when ``params`` is not given) selects
-    the embedded DES engine — ``"multipoint"`` lets a fused batch run
-    each background level's whole constraint grid in one lockstep
-    pass, bit-identical to the default per-point runs.
+    The executor fuses the tasks of one (background, level) group, and
+    the fused group prices all its constraint points in one lockstep
+    server-DES pass, bit-identical to per-point runs.
     """
-    params = params or JointSimParams(
-        sim_cores=2, duration_s=15.0, warmup_s=3.0, server_engine=server_engine
-    )
+    params = params or JointSimParams(sim_cores=2, duration_s=15.0, warmup_s=3.0)
 
     def _task(bg, L_ms, scheme_name, level, governor):
         return SweepTask.make(
@@ -86,7 +81,6 @@ def run(
     params: JointSimParams | None = None,
     include_no_pm: bool = True,
     seed: int = 1,
-    server_engine: str | None = None,
 ) -> ExperimentResult:
     result = ExperimentResult(
         figure="fig13",
@@ -110,8 +104,7 @@ def run(
     )
 
     tasks = build_tasks(
-        backgrounds, constraints_ms, levels, utilization, params,
-        include_no_pm, seed, server_engine,
+        backgrounds, constraints_ms, levels, utilization, params, include_no_pm, seed
     )
 
     for outcome in run_sweep(tasks):

@@ -7,13 +7,11 @@ from .oracle import OracleGovernor
 from .rubik import RubikGovernor, RubikPlusGovernor
 from .timetrader import TimeTraderGovernor
 from .variants import EpronsNoReorderGovernor
-from .vp_common import EquivalentQueue
 
 __all__ = [
     "Governor",
     "QueueSnapshot",
     "VPGovernor",
-    "EquivalentQueue",
     "EpronsServerGovernor",
     "EpronsNoReorderGovernor",
     "OracleGovernor",

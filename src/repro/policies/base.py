@@ -11,18 +11,14 @@ deadlines, the in-service request's progress, and the offline service
 model.  That information boundary is what makes the comparison between
 schemes fair.
 
-Model-based governors (:class:`VPGovernor` subclasses) carry two
-interchangeable decision engines:
-
-* ``"tabulated"`` (default) — the :mod:`repro.simfast` fast path:
-  precomputed VP tables answer a decision for the whole queue at all
-  ladder frequencies at once, fed by an incremental deadline mirror
-  the core simulator keeps in sync (no per-event snapshot rebuild);
-* ``"reference"`` — the original per-request mixture evaluation of
-  :mod:`repro.policies.vp_common`, binary-searching the ladder.
-
-Both pick identical frequencies (``tests/test_simfast_equivalence.py``
-enforces it).
+Model-based governors (:class:`VPGovernor` subclasses) decide on the
+:mod:`repro.simfast` tables: precomputed VP rows answer a decision for
+the whole queue at all ladder frequencies at once, fed by an
+incremental deadline mirror the core simulator keeps in sync (no
+per-event snapshot rebuild).  The original per-request mixture
+evaluation they replace lives on as a test oracle
+(``tests/oracles/server.py``); ``tests/test_simfast_equivalence.py``
+holds the two to identical frequencies.
 """
 
 from __future__ import annotations
@@ -33,16 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..server.distributions import ConvolutionCache
 from ..server.dvfs import FrequencyLadder
 from ..server.service import ServiceModel
 from ..simfast.equivalent import IncrementalEquivalentQueue
 from ..simfast.tables import shared_table_engine
 
-__all__ = ["QueueSnapshot", "Governor", "VPGovernor", "DEFAULT_ENGINE"]
-
-#: Engine used by VP governors unless a caller overrides it.
-DEFAULT_ENGINE = "tabulated"
+__all__ = ["QueueSnapshot", "Governor", "VPGovernor"]
 
 
 @dataclass(frozen=True)
@@ -122,18 +114,19 @@ class VPGovernor(Governor):
 
     Holds the service model, the frequency ladder, the SLA's target
     violation probability (5 % for a 95th-percentile SLA) and the
-    decision engine.  Subclasses configure the policy through class
+    shared VP tables.  Subclasses configure the policy through class
     attributes only:
 
     * ``vp_mode`` — ``"max"`` constrains the limiting request (Rubik),
       ``"mean"`` the queue average (EPRONS-Server);
     * the usual ``network_aware`` / ``reorders_queue`` flags.
 
-    Either engine falls back to ``f_max`` when even the top rung cannot
-    meet the target — run flat out and let the tail absorb the burst.
+    Both decision paths fall back to ``f_max`` when even the top rung
+    cannot meet the target — run flat out and let the tail absorb the
+    burst.
     """
 
-    ENGINES = ("tabulated", "reference", "multipoint")
+    incremental = True
 
     #: ``"max"`` (limiting request) or ``"mean"`` (queue average).
     vp_mode: str = "max"
@@ -143,68 +136,40 @@ class VPGovernor(Governor):
         service_model: ServiceModel,
         ladder: FrequencyLadder,
         target_vp: float = 0.05,
-        engine: str = DEFAULT_ENGINE,
     ):
         if not 0.0 < target_vp < 1.0:
             raise ConfigurationError(f"target VP must lie in (0, 1), got {target_vp}")
         self.service_model = service_model
         self.ladder = ladder
         self.target_vp = target_vp
-        self._cache = ConvolutionCache(service_model.distribution)
         self._mirror = IncrementalEquivalentQueue()
-        self._tables = None
-        #: Decision instants served (either engine); benchmarks read it.
+        self._tables = shared_table_engine(service_model, ladder)
+        #: Decision instants served (both paths); benchmarks read it.
         self.n_decisions = 0
-        self.set_engine(engine)
-
-    def set_engine(self, engine: str) -> None:
-        """Switch decision engines; the mirror state is engine-agnostic."""
-        if engine not in self.ENGINES:
-            raise ConfigurationError(
-                f"unknown governor engine {engine!r}; expected one of {self.ENGINES}"
-            )
-        self.engine = engine
-        if engine in ("tabulated", "multipoint"):
-            # "multipoint" is the tabulated decision machinery driven by
-            # the lockstep engine (repro.simfast.multipoint); a governor
-            # running standalone under it behaves exactly like
-            # "tabulated".
-            self._tables = shared_table_engine(self.service_model, self.ladder)
-            self.incremental = True
-        else:
-            self._tables = None
-            self.incremental = False
 
     def work_budget(self, deadline: float, now: float, frequency_hz: float) -> float:
         """ω(D) of Eq. (1): reference work completable before ``deadline``."""
         return self.service_model.frequency_model.work_budget(deadline - now, frequency_hz)
 
-    # -- snapshot path (reference engine; also any out-of-band probe) --------------
+    # -- snapshot path (out-of-band probes) ---------------------------------------
 
     def select_frequency(self, snapshot: QueueSnapshot) -> float:
         if snapshot.n_requests == 0:
             return self.ladder.f_min
         self.n_decisions += 1
-        if self._tables is not None:
-            if snapshot.in_service_deadline is not None:
-                offset = self._tables.head_offset(snapshot.in_service_completed_work or 0.0)
-                deltas = np.empty(1 + len(snapshot.queued_deadlines))
-                deltas[0] = snapshot.in_service_deadline
-                deltas[1:] = snapshot.queued_deadlines
-            else:
-                offset = None
-                deltas = np.asarray(snapshot.queued_deadlines, dtype=float)
-            deltas -= snapshot.now
-            chosen = self._tables.decide(deltas, offset, self.vp_mode, self.target_vp)
+        if snapshot.in_service_deadline is not None:
+            offset = self._tables.head_offset(snapshot.in_service_completed_work or 0.0)
+            deltas = np.empty(1 + len(snapshot.queued_deadlines))
+            deltas[0] = snapshot.in_service_deadline
+            deltas[1:] = snapshot.queued_deadlines
         else:
-            from .vp_common import EquivalentQueue
-
-            eq = EquivalentQueue(snapshot, self.service_model, self._cache)
-            metric = eq.max_vp if self.vp_mode == "max" else eq.average_vp
-            chosen = self.ladder.lowest_satisfying(lambda f: metric(f) <= self.target_vp)
+            offset = None
+            deltas = np.asarray(snapshot.queued_deadlines, dtype=float)
+        deltas -= snapshot.now
+        chosen = self._tables.decide(deltas, offset, self.vp_mode, self.target_vp)
         return chosen if chosen is not None else self.ladder.f_max
 
-    # -- incremental path (tabulated engine under a CoreSimulator) -----------------
+    # -- incremental path (under a CoreSimulator) ---------------------------------
     #
     # The core calls the three mirror hooks on every queue transition and
     # then decides through select_frequency_fast — same floats as the

@@ -16,8 +16,7 @@ request within the SLA the core runs flat out — the least-bad option
   comparison: identical policy, but the per-request measured network
   slack is folded into the deadlines it sees.
 
-The selection logic lives in :class:`~repro.policies.base.VPGovernor`;
-both decision engines (``"tabulated"``/``"reference"``) apply.
+The selection logic lives in :class:`~repro.policies.base.VPGovernor`.
 """
 
 from __future__ import annotations

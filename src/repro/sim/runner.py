@@ -113,7 +113,6 @@ def run_server_simulation(
     governor_name: str | None = None,
     sleep_model=None,
     reply_latency_sampler=None,
-    engine: str | None = None,
     stats_out: dict | None = None,
 ) -> ServerSimResult:
     """Simulate one server under one governor and one load level.
@@ -126,14 +125,11 @@ def run_server_simulation(
     :class:`~repro.power.sleep.SleepStateModel` to every core
     (PowerNap-family baselines and hybrids).
 
-    ``engine`` overrides the decision engine of every governor that
-    supports one (``"tabulated"`` — the :mod:`repro.simfast` fast path
-    — or ``"reference"``); ``None`` keeps each governor's own default.
-    Governors without a ``set_engine`` method (max-frequency, oracle,
-    TimeTrader) ignore the override.  ``engine="multipoint"`` routes
-    the whole run through the lockstep engine of
-    :mod:`repro.simfast.multipoint` (bit-identical to ``"tabulated"``;
-    built for simulating many grid points in one pass).
+    This is the one-point simulator: VP governors decide on their
+    tabulated :mod:`repro.simfast` engine through the incremental
+    deadline mirror.  Grids of points that share a workload trace run
+    through :func:`repro.simfast.multipoint.run_multipoint_simulation`
+    instead, bit-identical per point.
 
     ``stats_out``, when given a dict, receives run instrumentation
     (``n_events`` processed by the event loop, ``n_decisions`` made by
@@ -145,26 +141,6 @@ def run_server_simulation(
     governors keep seeing only the request slack — the paper's
     conservative Section IV-C rule.
     """
-    if engine == "multipoint":
-        # One-point lockstep run — genuinely exercises the multipoint
-        # engine (same results, bit for bit, as "tabulated").
-        from ..simfast.multipoint import MultipointPoint, run_multipoint_simulation
-
-        return run_multipoint_simulation(
-            service_model,
-            [
-                MultipointPoint(
-                    config=config,
-                    governor_factory=governor_factory,
-                    governor_name=governor_name,
-                )
-            ],
-            network_latency_sampler=network_latency_sampler,
-            sleep_model=sleep_model,
-            reply_latency_sampler=reply_latency_sampler,
-            stats_out=stats_out,
-        )[0]
-
     rng = ensure_rng(config.seed)
     arrival_rng, latency_rng, work_rng, dispatch_rng = spawn(rng, 4)
     if network_latency_sampler is None:
@@ -172,21 +148,15 @@ def run_server_simulation(
 
     loop = EventLoop()
 
-    def _make_governor():
-        governor = governor_factory()
-        if engine is not None and hasattr(governor, "set_engine"):
-            governor.set_engine(engine)
-        return governor
-
     # The first instance is probed for its class configuration
     # (``network_aware``, ``name``) and then handed to core 0 — calling
     # the factory an extra throwaway time would silently advance
     # stateful factories.
-    probe_governor = _make_governor()
+    probe_governor = governor_factory()
     first_governor = [probe_governor]
 
     def _governor_factory():
-        return first_governor.pop() if first_governor else _make_governor()
+        return first_governor.pop() if first_governor else governor_factory()
 
     server = MultiCoreServer(
         loop,

@@ -10,12 +10,16 @@ joint sweep — into table lookups:
 * :class:`IncrementalEquivalentQueue` mirrors a core's deadline state
   across decisions, replacing per-event snapshot rebuilds;
 * :func:`shared_table_engine` shares the tables process-wide so warm
-  sweep workers never rebuild them.
+  sweep workers never rebuild them;
+* :func:`run_multipoint_simulation` advances a whole grid of points
+  that share a workload trace in lockstep, bit-identical per point to
+  the one-point simulator.
 
-Governors select the fast path with ``engine="tabulated"`` (the
-default) and fall back to the pre-existing mixture evaluation with
-``engine="reference"``; the two produce identical frequency decisions
-(enforced by ``tests/test_simfast_equivalence.py``).
+The call shape picks the engine: a single point runs on the tabulated
+incremental engine (:func:`repro.sim.runner.run_server_simulation`), a
+grid on the lockstep one.  The per-request mixture evaluation both
+replace is the test oracle in ``tests/oracles/server.py``;
+``tests/test_simfast_equivalence.py`` holds production to it.
 """
 
 from .equivalent import IncrementalEquivalentQueue

@@ -1,9 +1,10 @@
 """Incremental equivalent-queue state for tabulated governors.
 
-The reference :class:`~repro.policies.vp_common.EquivalentQueue` is
-rebuilt from a :class:`~repro.policies.base.QueueSnapshot` at every
-decision instant — the core materialises deadline tuples, the governor
-re-derives fold counts, and both are discarded one decision later.
+The mixture evaluation's ``EquivalentQueue`` (the test oracle in
+``tests/oracles/server.py``) is rebuilt from a
+:class:`~repro.policies.base.QueueSnapshot` at every decision instant
+— the core materialises deadline tuples, the governor re-derives fold
+counts, and both are discarded one decision later.
 
 :class:`IncrementalEquivalentQueue` keeps that state alive between
 decisions: a growable float64 deadline array mirroring the core's

@@ -35,7 +35,8 @@ below mirrors the scalar simulator's op order (see
 ``tests/test_multipoint.py``).  Points the lockstep engine cannot
 represent (feedback governors with timers or completion hooks, sleep
 models, JSQ dispatch) transparently fall back to scalar
-``engine="tabulated"`` runs — correct, just not accelerated.
+:func:`~repro.sim.runner.run_server_simulation` runs — correct, just
+not accelerated.
 
 Tie-breaking: an arrival and a completion landing on the *exact* same
 float timestamp fire completion-first here.  In the scalar loop the
@@ -564,9 +565,7 @@ def _classify(probe, sleep_model, dispatch):
         return False
     if type(probe).on_complete is not Governor.on_complete:
         return False
-    if isinstance(probe, MaxFrequencyGovernor):
-        return True
-    return isinstance(probe, VPGovernor) and probe._tables is not None
+    return isinstance(probe, (MaxFrequencyGovernor, VPGovernor))
 
 
 def _group_key(probe):
@@ -600,9 +599,9 @@ def run_multipoint_simulation(
 
     Returns one :class:`~repro.sim.runner.ServerSimResult` per point,
     in input order, each bit-identical to
-    ``run_server_simulation(..., engine="tabulated")`` of the same
-    point.  Points the lockstep model cannot represent run through the
-    scalar simulator transparently.
+    :func:`~repro.sim.runner.run_server_simulation` of the same point.
+    Points the lockstep model cannot represent run through the scalar
+    simulator transparently.
     """
     from ..power.models import CorePowerModel
     from ..sim.runner import ServerSimResult, run_server_simulation
@@ -613,12 +612,7 @@ def run_multipoint_simulation(
     stats = {"n_events": 0, "n_decisions": 0, "n_forks": 0, "n_merges": 0,
              "n_fallback": 0}
 
-    probes = []
-    for p in points:
-        governor = p.governor_factory()
-        if hasattr(governor, "set_engine"):
-            governor.set_engine("multipoint")
-        probes.append(governor)
+    probes = [p.governor_factory() for p in points]
 
     supported = [
         i for i, p in enumerate(points)
@@ -638,7 +632,6 @@ def run_multipoint_simulation(
             governor_name=p.governor_name,
             sleep_model=sleep_model,
             reply_latency_sampler=reply_latency_sampler,
-            engine="tabulated" if hasattr(probes[i], "set_engine") else None,
         )
 
     if supported:

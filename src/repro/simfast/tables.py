@@ -1,14 +1,15 @@
 """Tabulated violation-probability engine (the server-side `netfast`).
 
-The reference governors (:mod:`repro.policies.vp_common`) evaluate, at
-every decision instant and every ladder rung the binary search probes,
-a mixture CCDF per queued request::
+The mixture evaluation of Section III-B (kept as the test oracle in
+``tests/oracles/server.py``) computes, at every decision instant and
+every ladder rung the binary search probes, a mixture CCDF per queued
+request::
 
     VP_i(f) = sum_j  P[head = j*dx] * CCDF_{S_k}( budget_i(f) - j*dx )
 
 All CCDFs in play are step functions on the shared work grid, so the
 whole mixture collapses to a *single table lookup*: with
-``m = floor(budget / dx + 1e-9)`` (exactly the bin index the reference
+``m = floor(budget / dx + 1e-9)`` (exactly the bin index the mixture's
 CCDF evaluation computes),
 
     VP_i(f) = T[head_offset, k][m]
@@ -218,6 +219,41 @@ class VPTableEngine:
 
     # -- decisions ----------------------------------------------------------------
 
+    def violation_probabilities(
+        self, deltas: np.ndarray, offset: int | None
+    ) -> np.ndarray:
+        """VP of every request at every ladder rung, shape ``(n, F)``.
+
+        ``deltas`` holds ``deadline - now`` per request — the in-service
+        head first when ``offset`` is not ``None``, then the queued
+        requests in queue order (fold counts are implied by position,
+        exactly the equivalent-queue layout of Section III-B).
+        """
+        n = deltas.size
+        if n == 0:
+            raise ConfigurationError("a VP lookup needs at least one request")
+        if offset is None:
+            k_max = n  # queued requests fold 1..n
+            rows = np.arange(1, n + 1)
+        else:
+            k_max = n - 1  # head is fold 0
+            rows = np.arange(n)
+        stack = self.stack(offset, k_max)
+        # Budget bins for every request at every rung in one shot; the
+        # per-element ops match the mixture evaluation's scalar
+        # arithmetic ((D - now) / speed, then the ccdf_many
+        # floor-and-clip).
+        budgets = deltas[:, None] / self.speeds[None, :]
+        m = np.floor(budgets / self.dx + 1e-9).astype(np.int64)
+        np.minimum(m, stack.width - 2, out=m)
+        np.maximum(m, -1, out=m)
+        vp = stack.tables[rows[:, None], m + 1]
+        if offset is not None and deltas[0] < 0.0:
+            # The head CCDF lookup (WorkDistribution.ccdf) early-
+            # returns 1.0 for strictly negative budgets.
+            vp[0, :] = 1.0
+        return vp
+
     def decide(
         self,
         deltas: np.ndarray,
@@ -227,35 +263,12 @@ class VPTableEngine:
     ) -> float | None:
         """Lowest ladder frequency whose VP metric meets ``target_vp``.
 
-        ``deltas`` holds ``deadline - now`` per request — the in-service
-        head first when ``offset`` is not ``None``, then the queued
-        requests in queue order (fold counts are implied by position,
-        exactly the reference :class:`EquivalentQueue` layout).  Returns
-        ``None`` when even ``f_max`` fails, mirroring
+        ``deltas`` and ``offset`` are laid out as for
+        :meth:`violation_probabilities`.  Returns ``None`` when even
+        ``f_max`` fails, mirroring
         :meth:`FrequencyLadder.lowest_satisfying`.
         """
-        n = deltas.size
-        if n == 0:
-            raise ConfigurationError("decide() needs at least one request")
-        if offset is None:
-            k_max = n  # queued requests fold 1..n
-            rows = np.arange(1, n + 1)
-        else:
-            k_max = n - 1  # head is fold 0
-            rows = np.arange(n)
-        stack = self.stack(offset, k_max)
-        # Budget bins for every request at every rung in one shot; the
-        # per-element ops match the reference scalar arithmetic
-        # ((D - now) / speed, then the ccdf_many floor-and-clip).
-        budgets = deltas[:, None] / self.speeds[None, :]
-        m = np.floor(budgets / self.dx + 1e-9).astype(np.int64)
-        np.minimum(m, stack.width - 2, out=m)
-        np.maximum(m, -1, out=m)
-        vp = stack.tables[rows[:, None], m + 1]
-        if offset is not None and deltas[0] < 0.0:
-            # The reference head lookup (WorkDistribution.ccdf) early-
-            # returns 1.0 for strictly negative budgets.
-            vp[0, :] = 1.0
+        vp = self.violation_probabilities(deltas, offset)
         metric = vp.max(axis=0) if mode == "max" else vp.mean(axis=0)
         satisfied = metric <= target_vp
         if not satisfied[-1]:

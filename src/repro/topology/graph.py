@@ -23,6 +23,10 @@ from ..power.models import LinkPowerModel, SwitchPowerModel
 __all__ = ["NodeKind", "Link", "canonical_link", "Topology", "ActiveSubnet"]
 
 
+def _unknown_node(node) -> ConfigurationError:
+    return ConfigurationError(f"unknown node {node!r}: not in this topology")
+
+
 class NodeKind:
     """Node role constants stored in the graph's node attributes."""
 
@@ -123,14 +127,28 @@ class Topology:
         return len(self._links)
 
     def kind(self, node: str) -> str:
-        """The :class:`NodeKind` of ``node``."""
-        return self._kind[node]
+        """The :class:`NodeKind` of ``node``.
+
+        ``kind``, ``is_host`` and ``is_switch`` raise
+        :class:`~repro.errors.ConfigurationError` for a node this
+        topology does not have.
+        """
+        try:
+            return self._kind[node]
+        except KeyError:
+            raise _unknown_node(node) from None
 
     def is_host(self, node: str) -> bool:
-        return self._kind[node] == NodeKind.HOST
+        try:
+            return self._kind[node] == NodeKind.HOST
+        except KeyError:
+            raise _unknown_node(node) from None
 
     def is_switch(self, node: str) -> bool:
-        return self._kind[node] in NodeKind.SWITCH_KINDS
+        try:
+            return self._kind[node] in NodeKind.SWITCH_KINDS
+        except KeyError:
+            raise _unknown_node(node) from None
 
     def switches_of_kind(self, kind: str) -> tuple[str, ...]:
         """All switches of a specific kind (edge/agg/core), sorted."""

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import InfeasibleError
 from repro.exec import (
     BatchTask,
     ExecContext,
@@ -17,8 +18,9 @@ from repro.exec import (
     register_batchable,
     run_sweep,
     task_fn,
+    use_context,
 )
-from repro.exec.registry import batchable_for
+from repro.exec.registry import batchable_for, resolve_task_fn
 
 
 @task_fn("test/poly")
@@ -98,6 +100,16 @@ def _ctx(tmp_path, **kw):
     return ExecContext(**kw)
 
 
+def _scalar_twin(tmp_path, task):
+    """The task's op called directly, un-fused and uncached:
+    ``("ok", value)`` or ``("infeasible", message)``."""
+    with use_context(_ctx(tmp_path)):
+        try:
+            return "ok", resolve_task_fn(task.fn)(**task.kwargs)
+        except InfeasibleError as err:
+            return "infeasible", str(err)
+
+
 class TestFusion:
     def test_shared_groups_fuse_into_one_call(self, tmp_path):
         tasks = _tasks(tmp_path, 1, [1, 2, 3, 4]) + _tasks(tmp_path, 2, [5, 6])
@@ -112,13 +124,6 @@ class TestFusion:
         assert out.unwrap() == 7
         assert _calls(tmp_path, "batch") == 0
         assert _calls(tmp_path, "scalar") == 1
-
-    def test_no_batch_context_dispatches_scalars(self, tmp_path):
-        tasks = _tasks(tmp_path, 1, [1, 2, 3])
-        outs = run_sweep(tasks, ctx=_ctx(tmp_path, batch=False))
-        assert [o.unwrap() for o in outs] == [2, 5, 10]
-        assert _calls(tmp_path, "batch") == 0
-        assert _calls(tmp_path, "scalar") == 3
 
     def test_outcomes_keep_task_order(self, tmp_path):
         # Interleave the two groups; fused dispatch must scatter back
@@ -260,13 +265,13 @@ class TestJointEvalParity:
 
     def test_fused_matches_scalar_and_warms_cache(self, tmp_path):
         tasks = self._joint_tasks()
-        fused_ctx = _ctx(tmp_path, cache=True, batch=True)
-        cold = run_sweep(tasks, ctx=fused_ctx)
+        ctx = _ctx(tmp_path, cache=True)
+        cold = run_sweep(tasks, ctx=ctx)
         assert not any(o.cached for o in cold)
 
-        # Warm re-run under *scalar* dispatch: every point must be
-        # served from the cache entries the batch op recorded.
-        warm = run_sweep(tasks, ctx=_ctx(tmp_path, cache=True, batch=False))
+        # Warm re-run: every point must be served from the per-point
+        # cache entries the batch op recorded.
+        warm = run_sweep(tasks, ctx=ctx)
         assert all(o.cached for o in warm)
         for a, b in zip(cold, warm):
             assert a.status == b.status
@@ -274,16 +279,13 @@ class TestJointEvalParity:
                 assert a.unwrap().total_watts == b.unwrap().total_watts
                 assert a.unwrap().query_p95_s == b.unwrap().query_p95_s
 
-        # And a cold scalar run computes identical values.
-        scalar_ctx = _ctx(
-            tmp_path, cache=True, cache_dir=str(tmp_path / "cache2"), batch=False
-        )
-        scalar = run_sweep(tasks, ctx=scalar_ctx)
-        for a, b in zip(cold, scalar):
-            assert a.status == b.status
-            if a.ok:
-                assert a.unwrap().total_watts == b.unwrap().total_watts
-                assert a.unwrap().violation_rate == b.unwrap().violation_rate
+        # And the scalar op computes identical values.
+        for out, task in zip(cold, tasks):
+            status, value = _scalar_twin(tmp_path, task)
+            assert out.status == status
+            if out.ok:
+                assert out.unwrap().total_watts == value.total_watts
+                assert out.unwrap().violation_rate == value.violation_rate
 
     def test_fused_infeasible_group_charges_the_solve_time(self, tmp_path):
         """A group whose shared consolidation solve is infeasible reports
@@ -301,11 +303,11 @@ class TestJointEvalParity:
             )
             for L in (25.0, 40.0, 55.0)
         ]
-        fused = run_sweep(tasks, ctx=_ctx(tmp_path, batch=True))
+        fused = run_sweep(tasks, ctx=_ctx(tmp_path))
         assert all(o.infeasible for o in fused)
         assert all(o.duration_s > 0.0 for o in fused)
-        scalar = run_sweep(tasks, ctx=_ctx(tmp_path, batch=False))
-        assert [o.error for o in fused] == [o.error for o in scalar]
+        scalar = [_scalar_twin(tmp_path, t) for t in tasks]
+        assert [("infeasible", o.error) for o in fused] == scalar
 
     def test_fresh_process_fuses_without_importing_ops(self):
         """A driver that imports only ``repro.exec`` still gets fused
@@ -345,3 +347,82 @@ class TestJointEvalParity:
         assert spec.batch_fn == "joint-eval-batch"
         assert "constraint_ms" in spec.point and "governor" in spec.point
         assert "arity" in spec.shared and "params" in spec.shared
+
+
+class TestFusedJointGroupsRunLockstep:
+    """A fused ``joint-eval`` group prices its points in one lockstep
+    server-DES pass; a group whose consolidation is infeasible runs no
+    DES at all.  Values and messages equal the un-fused op's."""
+
+    @staticmethod
+    def _fig13_tasks():
+        from repro.core.joint import JointSimParams
+        from repro.experiments.fig13_joint_power import build_tasks
+
+        # Background 0.5: the level-0 group (eprons-server and no-pm at
+        # two constraints) is feasible, the level-3 group is not.
+        tasks = build_tasks(
+            backgrounds=(0.5,),
+            constraints_ms=(25.0, 40.0),
+            levels=(0, 3),
+            params=JointSimParams(sim_cores=1, duration_s=2.0, warmup_s=0.5),
+            include_no_pm=True,
+            seed=1,
+        )
+        assert {t.kwargs["governor"] for t in tasks} == {"eprons-server", "no-pm"}
+        return tasks
+
+    def _assert_match_scalar_twins(self, tmp_path, outs, tasks):
+        assert sum(o.ok for o in outs) == 4
+        assert sum(o.infeasible for o in outs) == 2
+        for out, task in zip(outs, tasks):
+            status, value = _scalar_twin(tmp_path, task)
+            assert out.status == status
+            if out.ok:
+                assert out.value.server_result == value.server_result
+                assert out.value.breakdown == value.breakdown
+                assert out.value.sla_met == value.sla_met
+            else:
+                assert out.error == value
+
+    def test_fig13_groups_run_one_multipoint_pass_each(self, tmp_path, monkeypatch):
+        import repro.core.joint
+        import repro.sim.runner
+        import repro.simfast.multipoint
+
+        tasks = self._fig13_tasks()
+
+        calls = {"multipoint": 0, "scalar": 0}
+
+        def counting(kind, fn):
+            def wrapper(*args, **kwargs):
+                calls[kind] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(
+                repro.simfast.multipoint,
+                "run_multipoint_simulation",
+                counting("multipoint", repro.simfast.multipoint.run_multipoint_simulation),
+            )
+            scalar = counting("scalar", repro.sim.runner.run_server_simulation)
+            m.setattr(repro.sim.runner, "run_server_simulation", scalar)
+            m.setattr(repro.core.joint, "run_server_simulation", scalar)
+            outs = run_sweep(tasks, ctx=_ctx(tmp_path))
+
+        assert calls == {"multipoint": 1, "scalar": 0}
+        self._assert_match_scalar_twins(tmp_path, outs, tasks)
+
+    def test_lockstep_failure_falls_back_to_per_point_runs(self, tmp_path, monkeypatch):
+        import repro.exec.ops
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("lockstep pass failed")
+
+        tasks = self._fig13_tasks()
+        with monkeypatch.context() as m:
+            m.setattr(repro.exec.ops, "evaluate_operating_points", broken)
+            outs = run_sweep(tasks, ctx=_ctx(tmp_path))
+        self._assert_match_scalar_twins(tmp_path, outs, tasks)

@@ -2,8 +2,8 @@
 
 ``repro.simfast.multipoint`` simulates a whole constraint grid in one
 event loop; its hard contract is that every per-point result equals
-``run_server_simulation(..., engine="tabulated")`` with ``==`` on
-floats — no tolerance.  These tests pin that contract on fixed grids,
+the one-point ``run_server_simulation`` with ``==`` on floats — no
+tolerance.  These tests pin that contract on fixed grids,
 randomized grids, the fig. 12 golden digests, the scalar-fallback
 paths, the shared-field validation, and the joint plural API.
 """
@@ -70,24 +70,29 @@ def _factory(governor_cls, service_model, ladder):
 
 
 def _scalar(service_model, factory, config, **kwargs):
-    return run_server_simulation(
-        service_model, factory, config, engine="tabulated", **kwargs
+    return run_server_simulation(service_model, factory, config, **kwargs)
+
+
+def _one_point(service_model, factory, config):
+    (result,) = run_multipoint_simulation(
+        service_model, [MultipointPoint(config=config, governor_factory=factory)]
     )
+    return result
 
 
-# -- single-point parity through the runner switch ---------------------------------
+# -- single-point parity -----------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "governor_cls", VP_GOVERNORS + (MaxFrequencyGovernor,), ids=lambda c: c.name
 )
 def test_runner_engine_switch_matches_tabulated(governor_cls, service_model, ladder):
+    """A one-point lockstep run equals the one-point tabulated run."""
     config = _config()
     factory = _factory(governor_cls, service_model, ladder)
-    multipoint = run_server_simulation(
-        service_model, factory, config, engine="multipoint"
+    assert _one_point(service_model, factory, config) == _scalar(
+        service_model, factory, config
     )
-    assert multipoint == _scalar(service_model, factory, config)
 
 
 # -- grid vs per-point scalar ------------------------------------------------------
@@ -169,11 +174,8 @@ def test_fig12_point_golden_hash_multipoint(governor_cls, service_model, ladder)
         warmup_s=4.0,
         seed=3,
     )
-    result = run_server_simulation(
-        service_model,
-        _factory(governor_cls, service_model, ladder),
-        config,
-        engine="multipoint",
+    result = _one_point(
+        service_model, _factory(governor_cls, service_model, ladder), config
     )
     assert result_digest(result) == FIG12_POINT_DIGESTS[governor_cls.name]
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.policies import (
     EpronsServerGovernor,
-    EquivalentQueue,
     MaxFrequencyGovernor,
     QueueSnapshot,
     RubikGovernor,
@@ -13,6 +12,7 @@ from repro.policies import (
 )
 from repro.server import ConvolutionCache
 from repro.units import GHZ
+from tests.oracles.server import EquivalentQueue
 
 
 def snap(now=0.0, completed=0.0, in_deadline=20e-3, queued=()):

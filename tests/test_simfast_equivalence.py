@@ -1,26 +1,23 @@
-"""Tabulated-engine equivalence: bit-identical to the reference engine.
+"""Tabulated-engine equivalence: bit-identical to the mixture oracle.
 
-The :mod:`repro.simfast` fast path is an *engine* under the existing
-governor API, not an approximation: frequency decisions, energy and
-latency tails must be exactly equal (``==`` on floats, not allclose)
-between ``engine="tabulated"`` and ``engine="reference"`` — for every
-VP governor, including the EDF-reordering ones whose incremental
-deadline mirror must replay the core's stable sort.  A golden-hash
-regression additionally pins a full fig. 12 operating point to a digest
-captured from the reference implementation, so neither engine can drift
-silently.
+The :mod:`repro.simfast` tables are how every VP governor decides, not
+an approximation: frequency decisions, energy and latency tails must be
+exactly equal (``==`` on floats, not allclose) to the per-request
+mixture evaluation kept in ``tests/oracles/server.py`` — for every VP
+governor, including the EDF-reordering ones whose incremental deadline
+mirror must replay the core's stable sort.  A golden-hash regression
+additionally pins a full fig. 12 operating point to a digest captured
+from the mixture implementation, so neither side can drift silently.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
 from repro.policies import (
     EpronsNoReorderGovernor,
     EpronsServerGovernor,
@@ -34,6 +31,7 @@ from repro.sim.runner import (
     constant_latency_sampler,
     run_server_simulation,
 )
+from tests.oracles.server import reference_governor
 
 VP_GOVERNORS = (
     RubikGovernor,
@@ -45,13 +43,10 @@ VP_GOVERNORS = (
 
 @pytest.fixture(scope="module", params=VP_GOVERNORS, ids=lambda c: c.name)
 def governor_pair(request, service_model, ladder):
-    """(tabulated, reference) instances of one governor class — module
+    """(production, oracle) instances of one governor class — module
     scoped so the convolution caches and VP tables build once."""
     cls = request.param
-    return (
-        cls(service_model, ladder, engine="tabulated"),
-        cls(service_model, ladder, engine="reference"),
-    )
+    return cls(service_model, ladder), reference_governor(cls)(service_model, ladder)
 
 
 # -- decision equivalence on randomized snapshots ----------------------------------
@@ -90,16 +85,13 @@ def test_snapshot_decisions_identical(governor_pair, snapshot):
 
 
 def run_both(governor_cls, service_model, ladder, config, **kwargs):
-    results = {}
-    for engine in governor_cls.ENGINES:
-        results[engine] = run_server_simulation(
-            service_model,
-            lambda: governor_cls(service_model, ladder),
-            config,
-            engine=engine,
-            **kwargs,
+    """The same point under the production governor and its oracle."""
+    return tuple(
+        run_server_simulation(
+            service_model, lambda cls=cls: cls(service_model, ladder), config, **kwargs
         )
-    return results["tabulated"], results["reference"]
+        for cls in (governor_cls, reference_governor(governor_cls))
+    )
 
 
 @pytest.mark.parametrize("governor_cls", VP_GOVERNORS, ids=lambda c: c.name)
@@ -140,8 +132,8 @@ def test_full_simulation_identical_with_sleep_and_reply(service_model, ladder):
 
 # -- golden-hash regression on a fig. 12 point -------------------------------------
 
-#: Captured from the reference engine at the pre-simfast implementation;
-#: both engines must keep reproducing it bit for bit.
+#: Captured from the mixture implementation before the tables existed;
+#: production and oracle must both keep reproducing it bit for bit.
 FIG12_POINT_DIGESTS = {
     "rubik": "d9bb4d2221367e686e318ae932298b236e0b9958de2059cbeba3c3b3f94c5919",
     "eprons-server": "11b53f7fce290a3fc9d0e6fb9676f1860b427ebaf075c9fcbea4b20276d98afa",
@@ -186,41 +178,7 @@ def test_fig12_point_golden_hash(governor_cls, service_model, ladder):
     assert digest == FIG12_POINT_DIGESTS[governor_cls.name]
 
 
-# -- engine-switch API -------------------------------------------------------------
-
-
-def test_unknown_engine_rejected(service_model, ladder):
-    with pytest.raises(ConfigurationError):
-        RubikGovernor(service_model, ladder, engine="fast")
-    governor = RubikGovernor(service_model, ladder)
-    with pytest.raises(ConfigurationError):
-        governor.set_engine("indexed")
-
-
-def test_set_engine_flips_incremental_flag(service_model, ladder):
-    governor = EpronsServerGovernor(service_model, ladder, engine="reference")
-    assert not governor.incremental
-    governor.set_engine("tabulated")
-    assert governor.incremental
-    governor.set_engine("reference")
-    assert not governor.incremental
-
-
-def test_runner_engine_override_validates(service_model, ladder):
-    config = ServerSimConfig(
-        utilization=0.3,
-        latency_constraint_s=30e-3,
-        n_cores=1,
-        duration_s=2.0,
-        warmup_s=0.5,
-    )
-    with pytest.raises(ConfigurationError):
-        run_server_simulation(
-            service_model,
-            lambda: RubikGovernor(service_model, ladder),
-            config,
-            engine="bogus",
-        )
+# -- instrumentation ---------------------------------------------------------------
 
 
 def test_decisions_counted_on_both_engines(service_model, ladder):
@@ -231,14 +189,10 @@ def test_decisions_counted_on_both_engines(service_model, ladder):
         duration_s=2.0,
         warmup_s=0.5,
     )
-    for engine in RubikGovernor.ENGINES:
+    for cls in (RubikGovernor, reference_governor(RubikGovernor)):
         stats: dict = {}
         run_server_simulation(
-            service_model,
-            lambda: RubikGovernor(service_model, ladder),
-            config,
-            engine=engine,
-            stats_out=stats,
+            service_model, lambda: cls(service_model, ladder), config, stats_out=stats
         )
         assert stats["n_decisions"] > 0
         assert stats["n_events"] > stats["n_decisions"]

@@ -65,6 +65,24 @@ class TestTopologyValidation:
         with pytest.raises(ConfigurationError, match="h9"):
             tiny.attachment_switch("h9")
 
+    @pytest.mark.parametrize("lookup", ["kind", "is_host", "is_switch"])
+    def test_unknown_node_lookup_names_the_node(self, tiny, lookup):
+        with pytest.raises(ConfigurationError, match="h9"):
+            getattr(tiny, lookup)("h9")
+
+    def test_stranded_flows_on_a_foreign_path_names_the_node(self):
+        from repro.consolidation.repair import stranded_flows
+        from repro.flows import Flow, TrafficSet
+        from repro.netsim.network import Routing
+        from repro.topology import FatTree
+
+        ft = FatTree(4)
+        assert "h0_0_0" in ft.hosts and "h0_0_1" in ft.hosts
+        traffic = TrafficSet([Flow("f", "h0_0_0", "h0_0_1", 1e6)])
+        foreign = Routing({"f": ("h0_0_0", "h5_0_0", "h0_0_1")})
+        with pytest.raises(ConfigurationError, match="h5_0_0"):
+            stranded_flows(traffic, foreign, ft.full_subnet())
+
     def test_capacity_lookup(self, tiny):
         assert tiny.capacity("h1", "s1") == pytest.approx(1e9)
         with pytest.raises(ConfigurationError):
