@@ -48,7 +48,6 @@ import statistics
 import time
 
 from repro.consolidation import DeltaConsolidator, GreedyConsolidator
-from repro.control.rules import diff_routings
 from repro.flows.dynamics import FlowChurnModel
 from repro.netfast import clear_index_registry
 from repro.topology.fattree import FatTree
@@ -109,36 +108,14 @@ def bench_point(ft, epochs, churn_rate: float) -> dict:
         full_results.append(res)
 
     delta = DeltaConsolidator(ft, drift_bound=DRIFT_BOUND)
-    delta_times, delta_stats, delta_results, max_obj_drift = [], [], [], 0.0
+    delta_times, delta_stats, max_obj_drift = [], [], 0.0
     for traffic, full_res in zip(epochs, full_results):
         t0 = time.perf_counter()
         res = delta.consolidate(traffic, SCALE_FACTOR)
         delta_times.append(time.perf_counter() - t0)
         delta_stats.append(delta.last_stats)
-        delta_results.append(res)
         base = max(full_res.objective_watts, 1e-12)
         max_obj_drift = max(max_obj_drift, (res.objective_watts - full_res.objective_watts) / base)
-
-    # Forwarding-rule diff riding on the delta epochs: feeding the
-    # engine's proven-unchanged flow ids to diff_routings skips the
-    # per-hop path comparison for stable flows, so the epoch diff
-    # scales with churn too.  Both paths must emit identical updates.
-    naive_diff_s = assisted_diff_s = 0.0
-    prev = None
-    for res, stats in zip(delta_results, delta_stats):
-        t0 = time.perf_counter()
-        naive = diff_routings(prev, res.routing)
-        naive_diff_s += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        assisted = diff_routings(prev, res.routing, unchanged=stats.unchanged_ids)
-        assisted_diff_s += time.perf_counter() - t0
-        if (naive.added, naive.removed, naive.rerouted) != (
-            assisted.added, assisted.removed, assisted.rerouted
-        ):
-            raise AssertionError(
-                "unchanged-assisted rule diff diverged from the full diff"
-            )
-        prev = res.routing
 
     # Golden equivalence: drift_bound=0 is bit-identical to full.
     delta0 = DeltaConsolidator(ft, drift_bound=0.0)
@@ -168,9 +145,6 @@ def bench_point(ft, epochs, churn_rate: float) -> dict:
         "delta_epoch_fraction": n_delta / len(epochs),
         "mean_churned_flows": sum(churned) / max(1, len(churned)),
         "fallbacks": delta.counters()["fallbacks"],
-        "rulediff_full_s": naive_diff_s / len(epochs),
-        "rulediff_unchanged_s": assisted_diff_s / len(epochs),
-        "rulediff_speedup": naive_diff_s / max(assisted_diff_s, 1e-12),
         "max_objective_drift": max_obj_drift,
         "drift_bound": DRIFT_BOUND,
         "equivalence_epochs_checked": min(N_EQUIVALENCE_EPOCHS, len(epochs)),

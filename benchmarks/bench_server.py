@@ -1,20 +1,22 @@
-"""Micro-benchmarks for the server DES engines.
+"""Micro-benchmarks for the server DES.
 
 Times fig12-style server-simulation points — a multi-core server under
 a VP governor at a given (utilization, latency constraint) — on the
-one-point tabulated engine (:mod:`repro.simfast`), and emits a
-machine-readable ``BENCH_server.json`` with wall times, events/s and
-decisions/s.
+path production prices a single point with: a one-point
+:func:`~repro.simfast.run_multipoint_simulation` (lockstep) run.  Each
+point row asserts that result ``==`` the scalar
+:func:`~repro.sim.runner.run_server_simulation` of the same point.
+Emits a machine-readable ``BENCH_server.json`` with wall times,
+events/s and decisions/s.
 
-It also benchmarks the **lockstep multipoint engine** on a whole
-constraint grid: one :func:`~repro.simfast.run_multipoint_simulation`
+It also benchmarks the lockstep engine on a whole constraint grid: one
 pass over ``--grid-points`` constraints versus the same grid as
-per-point one-point runs, asserting bit-identical results per point.
+one-point lockstep runs, asserting bit-identical results per point.
 The grid row records an honest Amdahl split: ``des_floor_s`` is the
-slowest *single-point* scalar run — the one full event-stream pass the
-lockstep engine can never go below — so ``amdahl_max_speedup =
-scalar_warm / des_floor_s`` bounds what any grid fusion could achieve
-at that window.
+slowest single-point run — the one full event-stream pass the grid
+pass can never go below — so ``amdahl_max_speedup = per_point_warm /
+des_floor_s`` bounds what any grid fusion could achieve at that
+window.
 
 Run as a module (the repository root on ``sys.path`` and ``src`` on
 ``PYTHONPATH``)::
@@ -70,13 +72,13 @@ DEFAULT_POINTS = (
 )
 
 
-def _run_point(governor_cls, service_model, config):
-    """One instrumented run: (result, n_events, n_decisions)."""
+def _run_point(factory, service_model, config):
+    """One instrumented one-point lockstep run:
+    (result, n_events, n_decisions)."""
     stats: dict = {}
-    result = run_server_simulation(
+    (result,) = run_multipoint_simulation(
         service_model,
-        lambda: governor_cls(service_model, XEON_LADDER),
-        config,
+        [MultipointPoint(config=config, governor_factory=factory)],
         stats_out=stats,
     )
     return result, stats["n_events"], stats["n_decisions"]
@@ -93,19 +95,25 @@ def bench_point(name, utilization, constraint_s, duration_s, n_cores, seed, repe
         seed=seed,
     )
     governor_cls = GOVERNORS[name]
+
+    def factory():
+        return governor_cls(service_model, XEON_LADDER)
+
     # Charge the cold run the full table build, as a fresh worker
     # process would pay it.
     clear_shared_engines()
     t0 = time.perf_counter()
-    result, n_events, n_decisions = _run_point(governor_cls, service_model, config)
+    result, n_events, n_decisions = _run_point(factory, service_model, config)
     t_cold = time.perf_counter() - t0
     t_warm = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        again, n_events, n_decisions = _run_point(governor_cls, service_model, config)
+        again, n_events, n_decisions = _run_point(factory, service_model, config)
         t_warm = min(t_warm, time.perf_counter() - t0)
         if again != result:
             raise AssertionError(f"{name}: run-to-run mismatch")
+    if result != run_server_simulation(service_model, factory, config):
+        raise AssertionError(f"{name}: one-point lockstep diverged from the scalar runner")
     return {
         "governor": name,
         "utilization": utilization,
@@ -124,7 +132,7 @@ def bench_point(name, utilization, constraint_s, duration_s, n_cores, seed, repe
 
 
 def bench_grid(name, utilization, n_points, duration_s, n_cores, seed, repeats):
-    """The lockstep grid: one multipoint pass vs per-point scalar runs."""
+    """The lockstep grid: one multipoint pass vs one-point runs."""
     service_model = default_service_model()
     governor_cls = GOVERNORS[name]
     lo_ms, hi_ms = GRID_CONSTRAINT_RANGE_MS
@@ -148,26 +156,26 @@ def bench_grid(name, utilization, n_points, duration_s, n_cores, seed, repeats):
         MultipointPoint(config=cfg, governor_factory=factory) for cfg in configs
     ]
 
-    def scalar_pass():
+    def per_point_pass():
         timings = []
         grid = []
         for cfg in configs:
             t0 = time.perf_counter()
-            grid.append(run_server_simulation(service_model, factory, cfg))
+            grid.append(_run_point(factory, service_model, cfg)[0])
             timings.append(time.perf_counter() - t0)
         return grid, timings
 
     clear_shared_engines()
     t0 = time.perf_counter()
-    scalar, per_point = scalar_pass()
-    scalar_cold = time.perf_counter() - t0
-    scalar_warm = float("inf")
+    single, per_point = per_point_pass()
+    single_cold = time.perf_counter() - t0
+    single_warm = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        again, per_point = scalar_pass()
-        scalar_warm = min(scalar_warm, time.perf_counter() - t0)
-        if again != scalar:
-            raise AssertionError(f"{name}/grid: scalar run-to-run mismatch")
+        again, per_point = per_point_pass()
+        single_warm = min(single_warm, time.perf_counter() - t0)
+        if again != single:
+            raise AssertionError(f"{name}/grid: one-point run-to-run mismatch")
 
     stats: dict = {}
     clear_shared_engines()
@@ -181,10 +189,10 @@ def bench_grid(name, utilization, n_points, duration_s, n_cores, seed, repeats):
         mp_warm = min(mp_warm, time.perf_counter() - t0)
         if fused_again != fused:
             raise AssertionError(f"{name}/grid: multipoint run-to-run mismatch")
-    for i, (one, many) in enumerate(zip(scalar, fused)):
+    for i, (one, many) in enumerate(zip(single, fused)):
         if one != many:
             raise AssertionError(
-                f"{name}/grid point {i}: multipoint diverged from tabulated"
+                f"{name}/grid point {i}: grid pass diverged from its one-point run"
             )
 
     # The lockstep pass must still simulate one full event stream; the
@@ -198,7 +206,7 @@ def bench_grid(name, utilization, n_points, duration_s, n_cores, seed, repeats):
         "constraint_ms_range": [lo_ms, hi_ms],
         "n_cores": n_cores,
         "duration_s": duration_s,
-        "scalar": {"cold_s": scalar_cold, "warm_s": scalar_warm},
+        "per_point": {"cold_s": single_cold, "warm_s": single_warm},
         "multipoint": {
             "cold_s": mp_cold,
             "warm_s": mp_warm,
@@ -209,11 +217,11 @@ def bench_grid(name, utilization, n_points, duration_s, n_cores, seed, repeats):
             "n_fallback": stats["n_fallback"],
         },
         "speedup": {
-            "cold": scalar_cold / mp_cold,
-            "warm": scalar_warm / mp_warm,
+            "cold": single_cold / mp_cold,
+            "warm": single_warm / mp_warm,
         },
         "des_floor_s": des_floor_s,
-        "amdahl_max_speedup": scalar_warm / des_floor_s,
+        "amdahl_max_speedup": single_warm / des_floor_s,
     }
 
 
@@ -258,8 +266,8 @@ def main(argv=None) -> None:
     results.append(grid)
     print(f"multipoint grid ({grid['n_points']} constraints, {duration:.0f}s windows):")
     print(
-        f"  scalar     cold={grid['scalar']['cold_s']:.2f}s "
-        f"warm={grid['scalar']['warm_s']:.2f}s"
+        f"  per-point  cold={grid['per_point']['cold_s']:.2f}s "
+        f"warm={grid['per_point']['warm_s']:.2f}s"
     )
     mp = grid["multipoint"]
     print(

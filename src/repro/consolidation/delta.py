@@ -109,14 +109,6 @@ class DeltaStats:
     #: Accumulated regret fraction after this epoch (0 right after a
     #: full solve).
     regret_fraction: float
-    #: Flow ids proven untouched this epoch — their warm placements
-    #: were neither removed nor re-placed, so their committed paths are
-    #: guaranteed identical to the previous epoch's.  Populated only on
-    #: :data:`MODE_DELTA` epochs (a full solve re-places everything, so
-    #: nothing is *proven* stable); the controller feeds it to
-    #: :func:`~repro.control.rules.diff_routings` to skip the per-flow
-    #: path comparison.
-    unchanged_ids: frozenset[str] = frozenset()
 
     @property
     def n_churned(self) -> int:
@@ -330,7 +322,6 @@ class DeltaConsolidator(Consolidator):
                 n_departed,
                 n_repredicted,
                 n_unchanged,
-                unchanged_ids,
             ) = classified
             churn = (n_arrived + n_departed + n_repredicted) / max(1, len(traffic))
             if churn > self.max_churn_fraction:
@@ -359,11 +350,10 @@ class DeltaConsolidator(Consolidator):
 
         self._counters["epochs"] += 1
         if classified is not None:
-            _, _, n_arrived, n_departed, n_repredicted, n_unchanged, unchanged_ids = classified
+            _, _, n_arrived, n_departed, n_repredicted, n_unchanged = classified
         else:
             n_arrived = len(traffic) if reason == FALLBACK_COLD_START else 0
             n_departed = n_repredicted = n_unchanged = 0
-            unchanged_ids = frozenset()
         self.last_stats = DeltaStats(
             epoch=epoch,
             mode=mode,
@@ -376,10 +366,6 @@ class DeltaConsolidator(Consolidator):
             solve_time_s=time.perf_counter() - t0,
             objective_watts=result.objective_watts,
             regret_fraction=self._regret,
-            # Proven-stable only on delta epochs: a full solve re-placed
-            # every flow, so even "unchanged" classifications may have
-            # moved paths.
-            unchanged_ids=frozenset(unchanged_ids) if mode == MODE_DELTA else frozenset(),
         )
         return result
 
@@ -396,7 +382,6 @@ class DeltaConsolidator(Consolidator):
         records = self._warm.records
         to_place = []
         remove_set: set[str] = set()
-        unchanged_ids: set[str] = set()
         n_arrived = n_departed = n_repredicted = n_unchanged = 0
         seen: set[str] = set()
         for flow in traffic:
@@ -419,7 +404,6 @@ class DeltaConsolidator(Consolidator):
                 to_place.append(flow)
                 n_repredicted += 1
             else:
-                unchanged_ids.add(flow.flow_id)
                 n_unchanged += 1
         for fid in records:
             if fid not in seen:
@@ -432,7 +416,6 @@ class DeltaConsolidator(Consolidator):
             n_departed,
             n_repredicted,
             n_unchanged,
-            unchanged_ids,
         )
 
     # -- incremental solve -------------------------------------------------------

@@ -423,21 +423,8 @@ class SdnController:
                 self._epoch += 1
                 return outcome
 
-        # Delta epochs classify most flows as untouched; their warm
-        # placements are guaranteed path-stable, so the rule diff can
-        # skip comparing them hop by hop.
-        # (On an MILP rescue the delta solve raised before refreshing
-        # last_stats — a stale classification must not be trusted.)
-        delta_stats = self._delta.last_stats if self._delta else None
-        unchanged = (
-            delta_stats.unchanged_ids
-            if delta_stats is not None
-            and delta_stats.mode == "delta"
-            and not used_fallback
-            else frozenset()
-        )
         plan = ReconfigurationPlan(
-            rules=diff_routings(self._routing, result.routing, unchanged=unchanged),
+            rules=diff_routings(self._routing, result.routing),
             devices=diff_subnets(self._subnet, result.subnet),
         )
         # First epoch turns everything listed "on" from an assumed

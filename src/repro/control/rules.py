@@ -71,39 +71,18 @@ class ReconfigurationPlan:
         return self.rules.is_empty and self.devices.is_empty
 
 
-def diff_routings(
-    old: Routing | None,
-    new: Routing,
-    unchanged: frozenset[str] = frozenset(),
-) -> RuleUpdate:
-    """Compute the forwarding-rule diff between two routings.
-
-    ``unchanged`` is an optional set of flow ids the caller *proves*
-    kept their path — in delta-consolidation epochs the engine already
-    classified them (:attr:`~repro.consolidation.delta.DeltaStats.unchanged_ids`)
-    and their warm placements were never touched, so the diff skips the
-    per-hop path comparison for them entirely.  With mostly-stable
-    traffic that turns the epoch diff from O(flows x hops) into
-    O(churn x hops) plus a set lookup per flow.
-    """
+def diff_routings(old: Routing | None, new: Routing) -> RuleUpdate:
+    """Compute the forwarding-rule diff between two routings."""
     if old is None:
         return RuleUpdate(added={fid: path for fid, path in new.items()})
     old_paths = dict(old.items())
     new_paths = dict(new.items())
-    added = {
-        fid: p
-        for fid, p in new_paths.items()
-        if fid not in unchanged and fid not in old_paths
-    }
-    removed = {
-        fid: p
-        for fid, p in old_paths.items()
-        if fid not in unchanged and fid not in new_paths
-    }
+    added = {fid: p for fid, p in new_paths.items() if fid not in old_paths}
+    removed = {fid: p for fid, p in old_paths.items() if fid not in new_paths}
     rerouted = {
         fid: (old_paths[fid], p)
         for fid, p in new_paths.items()
-        if fid not in unchanged and fid in old_paths and old_paths[fid] != p
+        if fid in old_paths and old_paths[fid] != p
     }
     return RuleUpdate(added=added, removed=removed, rerouted=rerouted)
 

@@ -12,6 +12,10 @@ prices that point end to end:
   ⇒ higher network latency ⇒ less compute slack ⇒ higher CPU power);
 * **SLA** — the pooled 95th-percentile end-to-end latency against L.
 
+:func:`evaluate_operating_points` prices many points over one
+consolidation in a single lockstep DES pass; the singular form is that
+call on a grid of one.
+
 The ISNs are statistically identical under the pooled latency mixture,
 so a small number of simulated cores prices every core in the fleet —
 the same scaling argument the paper uses for its Fig. 13/15 results
@@ -29,7 +33,7 @@ from ..netsim.latency import LinkLatencyModel
 from ..netsim.network import NetworkModel
 from ..power.meter import PowerBreakdown
 from ..power.models import LinkPowerModel, SwitchPowerModel
-from ..sim.runner import ServerSimConfig, ServerSimResult, run_server_simulation
+from ..sim.runner import ServerSimConfig, ServerSimResult
 from ..workloads.search import SearchWorkload
 
 __all__ = [
@@ -98,40 +102,22 @@ def evaluate_operating_point(
 
     ``traffic`` must be the same flow set the consolidation routed —
     link utilizations (and hence network latencies) are computed from
-    its actual demands.  The server runs on the one-point tabulated
-    engine; :func:`evaluate_operating_points` prices a grid in lockstep.
+    its actual demands.  This is :func:`evaluate_operating_points` on a
+    grid of one: the server runs on the lockstep engine, or on the
+    scalar simulator when the lockstep engine cannot represent the
+    governor.
     """
-    params = params or JointSimParams()
-    switch_model = switch_model or SwitchPowerModel()
-    link_model = link_model or LinkPowerModel()
-
-    network = NetworkModel(
-        workload.topology,
+    (evaluation,) = evaluate_operating_points(
+        workload,
         traffic,
-        consolidation.routing,
-        link_model=link_latency_model,
+        consolidation,
+        [(workload.latency_constraint_s, utilization, governor_factory, None)],
+        params=params,
+        switch_model=switch_model,
+        link_model=link_model,
+        link_latency_model=link_latency_model,
     )
-    monitor = LatencyMonitor(network)
-    sampler = monitor.pooled_sampler(seed_or_rng=params.seed)
-
-    config = ServerSimConfig(
-        utilization=utilization,
-        latency_constraint_s=workload.latency_constraint_s,
-        network_budget_s=workload.network_budget_s,
-        n_cores=params.sim_cores,
-        duration_s=params.duration_s,
-        warmup_s=params.warmup_s,
-        static_watts=params.static_watts,
-        seed=params.seed,
-    )
-    server = run_server_simulation(
-        workload.service_model,
-        governor_factory,
-        config,
-        network_latency_sampler=sampler,
-    )
-
-    return _price(server, consolidation, params, switch_model, link_model)
+    return evaluation
 
 
 def _price(
@@ -183,9 +169,10 @@ def evaluate_operating_points(
     :func:`~repro.simfast.multipoint.run_multipoint_simulation` pass
     per utilization level, so the DES cost grows with the number of
     *distinct event orderings*, not the number of points.  Each
-    returned :class:`JointEvaluation` is bit-identical to calling
-    :func:`evaluate_operating_point` on the same point (the multipoint
-    equivalence contract); results are in ``points`` order.
+    returned :class:`JointEvaluation` is bit-identical to a scalar
+    :func:`~repro.sim.runner.run_server_simulation` run of the same
+    point (the multipoint equivalence contract); results are in
+    ``points`` order.
     """
     from ..simfast.multipoint import MultipointPoint, run_multipoint_simulation
 

@@ -15,10 +15,11 @@ Governors are named, not passed as callables (closures don't pickle);
 :func:`governor_factory` is the one place the name → policy mapping
 lives.
 
-The call shape picks the server DES engine: a single point
-(``server-sim``, ``joint-eval``) runs on the one-point tabulated
-engine, a fused ``joint-eval-batch`` group on the lockstep multi-point
-engine.  No op takes an engine argument.
+Every server point runs through the lockstep multi-point engine: a
+single point (``server-sim``, ``joint-eval``) as a grid of one, a fused
+``joint-eval-batch`` group in one pass.  Points it cannot represent
+(timer or completion-hook governors, sleep models) fall back to the
+scalar simulator inside it.  No op takes an engine argument.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from ..policies.timetrader import TimeTraderGovernor
 from ..policies.variants import EpronsNoReorderGovernor
 from ..power.sleep import POWERNAP_SLEEP
 from ..server.dvfs import XEON_LADDER
-from ..sim.runner import ServerSimConfig, ServerSimResult, run_server_simulation
+from ..sim.runner import ServerSimConfig, ServerSimResult
+from ..simfast.multipoint import MultipointPoint, run_multipoint_simulation
 from ..topology.aggregation import aggregation_policy
 from ..topology.fattree import FatTree
 from ..workloads.search import SearchWorkload
@@ -479,14 +481,20 @@ def server_sim_op(
     power-managed here" setup; the underlying consolidation solve is
     itself cache-shared with every other figure at the same traffic.
 
-    A single point runs on the one-point tabulated engine.  VP
-    governors fetch their tables from the process-wide
+    The point runs as a one-point lockstep grid; a ``sleep`` model or a
+    timer/feedback governor sends it to the scalar simulator instead.
+    VP governors fetch their tables from the process-wide
     :func:`repro.simfast.shared_table_engine` registry, so every
     server-sim task a warm worker executes for the same (service model,
     ladder) pair reuses one set of tables instead of rebuilding them
     per point.
     """
+    if sleep not in _SLEEP_MODELS:
+        raise ConfigurationError(
+            f"unknown sleep model {sleep!r}; known: {tuple(_SLEEP_MODELS)}"
+        )
     workload = workload_for(arity, constraint_ms)
+    factory = governor_factory(governor, workload)
     consolidation = _cached_consolidation(
         arity=arity, scheme="aggregation", level=0,
         background=background, traffic_seed=seed,
@@ -503,13 +511,13 @@ def server_sim_op(
         warmup_s=warmup_s,
         seed=seed,
     )
-    return run_server_simulation(
+    (result,) = run_multipoint_simulation(
         workload.service_model,
-        governor_factory(governor, workload),
-        config,
+        [MultipointPoint(config=config, governor_factory=factory)],
         network_latency_sampler=sampler,
         sleep_model=_SLEEP_MODELS[sleep],
     )
+    return result
 
 
 # -- joint evaluation --------------------------------------------------------------

@@ -13,10 +13,12 @@ schemes fair.
 
 Model-based governors (:class:`VPGovernor` subclasses) decide on the
 :mod:`repro.simfast` tables: precomputed VP rows answer a decision for
-the whole queue at all ladder frequencies at once, fed by an
-incremental deadline mirror the core simulator keeps in sync (no
-per-event snapshot rebuild).  The original per-request mixture
-evaluation they replace lives on as a test oracle
+the whole queue at all ladder frequencies at once.  Under the scalar
+simulator a VP governor decides from the core's
+:class:`QueueSnapshot`; the lockstep engine
+(:func:`repro.simfast.run_multipoint_simulation`), which prices every
+point it can represent, reads the same tables directly.  The original
+per-request mixture evaluation they replace lives on as a test oracle
 (``tests/oracles/server.py``); ``tests/test_simfast_equivalence.py``
 holds the two to identical frequencies.
 """
@@ -31,7 +33,6 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..server.dvfs import FrequencyLadder
 from ..server.service import ServiceModel
-from ..simfast.equivalent import IncrementalEquivalentQueue
 from ..simfast.tables import shared_table_engine
 
 __all__ = ["QueueSnapshot", "Governor", "VPGovernor"]
@@ -85,17 +86,13 @@ class Governor(ABC):
     * ``reorders_queue`` — whether the core keeps the waiting queue in
       earliest-deadline-first order for this governor;
     * ``timer_period_s`` — if not ``None``, :meth:`on_timer` fires at
-      this period (feedback-based policies);
-    * ``incremental`` — whether the core should maintain this
-      governor's deadline mirror and decide through
-      :meth:`select_frequency_fast` instead of building snapshots.
+      this period (feedback-based policies).
     """
 
     name: str = "governor"
     network_aware: bool = False
     reorders_queue: bool = False
     timer_period_s: float | None = None
-    incremental: bool = False
 
     @abstractmethod
     def select_frequency(self, snapshot: QueueSnapshot) -> float:
@@ -121,12 +118,9 @@ class VPGovernor(Governor):
       ``"mean"`` the queue average (EPRONS-Server);
     * the usual ``network_aware`` / ``reorders_queue`` flags.
 
-    Both decision paths fall back to ``f_max`` when even the top rung
-    cannot meet the target — run flat out and let the tail absorb the
-    burst.
+    A decision falls back to ``f_max`` when even the top rung cannot
+    meet the target — run flat out and let the tail absorb the burst.
     """
-
-    incremental = True
 
     #: ``"max"`` (limiting request) or ``"mean"`` (queue average).
     vp_mode: str = "max"
@@ -142,16 +136,13 @@ class VPGovernor(Governor):
         self.service_model = service_model
         self.ladder = ladder
         self.target_vp = target_vp
-        self._mirror = IncrementalEquivalentQueue()
         self._tables = shared_table_engine(service_model, ladder)
-        #: Decision instants served (both paths); benchmarks read it.
+        #: Decision instants served; benchmarks read it.
         self.n_decisions = 0
 
     def work_budget(self, deadline: float, now: float, frequency_hz: float) -> float:
         """ω(D) of Eq. (1): reference work completable before ``deadline``."""
         return self.service_model.frequency_model.work_budget(deadline - now, frequency_hz)
-
-    # -- snapshot path (out-of-band probes) ---------------------------------------
 
     def select_frequency(self, snapshot: QueueSnapshot) -> float:
         if snapshot.n_requests == 0:
@@ -167,36 +158,4 @@ class VPGovernor(Governor):
             deltas = np.asarray(snapshot.queued_deadlines, dtype=float)
         deltas -= snapshot.now
         chosen = self._tables.decide(deltas, offset, self.vp_mode, self.target_vp)
-        return chosen if chosen is not None else self.ladder.f_max
-
-    # -- incremental path (under a CoreSimulator) ---------------------------------
-    #
-    # The core calls the three mirror hooks on every queue transition and
-    # then decides through select_frequency_fast — same floats as the
-    # snapshot path, without rebuilding deadline tuples per decision.
-
-    def on_enqueue(self, governor_deadline: float) -> None:
-        if self.reorders_queue:
-            self._mirror.enqueue_sorted(governor_deadline)
-        else:
-            self._mirror.enqueue(governor_deadline)
-
-    def on_service_start(self) -> None:
-        self._mirror.start_service()
-
-    def on_service_end(self) -> None:
-        self._mirror.end_service()
-
-    def select_frequency_fast(self, now: float, in_service_completed: float | None) -> float:
-        mirror = self._mirror
-        if mirror.n_in_system == 0:
-            return self.ladder.f_min
-        self.n_decisions += 1
-        if mirror.in_service_deadline is not None:
-            offset = self._tables.head_offset(in_service_completed or 0.0)
-        else:
-            offset = None
-        chosen = self._tables.decide(
-            mirror.deltas(now), offset, self.vp_mode, self.target_vp
-        )
         return chosen if chosen is not None else self.ladder.f_max

@@ -6,7 +6,8 @@ One CPU core serving a queue of search requests under a DVFS governor:
   runs to completion — but its *speed* may change mid-service when the
   governor reacts to arrivals);
 * governor consulted at every arrival and departure instance, exactly
-  the decision points of Section III-B;
+  the decision points of Section III-B, through a
+  :class:`~repro.policies.base.QueueSnapshot` built at that instant;
 * optional earliest-deadline-first queue ordering (EPRONS-Server);
 * per-core energy metering: active power at the current frequency
   while busy, idle power otherwise.
@@ -14,6 +15,11 @@ One CPU core serving a queue of search requests under a DVFS governor:
 Work accounting uses *reference work* (see
 :mod:`repro.server.freqmodel`): at frequency ``f`` the core retires
 ``1 / speed_factor(f)`` units of reference work per second.
+
+This event loop prices the points the lockstep engine
+(:func:`repro.simfast.run_multipoint_simulation`) cannot represent:
+timer and completion-hook governors, sleep models and JSQ dispatch.
+The oracle tests drive it too.
 """
 
 from __future__ import annotations
@@ -44,11 +50,6 @@ class CoreSimulator:
         self.loop = loop
         self.service_model = service_model
         self.governor = governor
-        # Incremental governors (tabulated VP engines) keep their own
-        # deadline mirror: the core feeds queue transitions through the
-        # on_enqueue/on_service_* hooks and decides via
-        # select_frequency_fast, skipping the snapshot rebuild.
-        self._incremental = bool(getattr(governor, "incremental", False))
         self.power_model = power_model or CorePowerModel()
         self.core_id = core_id
         #: Optional :class:`~repro.power.sleep.SleepStateModel` — when
@@ -81,8 +82,6 @@ class CoreSimulator:
         self.queue.append(request)
         if self.governor.reorders_queue:
             self.queue.sort(key=lambda r: (r.governor_deadline, r.rid))
-        if self._incremental:
-            self.governor.on_enqueue(request.governor_deadline)
         if self.in_service is None:
             if self._wake_pending:
                 return  # the scheduled wake will drain the queue
@@ -152,12 +151,6 @@ class CoreSimulator:
         )
 
     def _ask_governor(self) -> float:
-        if self._incremental:
-            in_service = self.in_service
-            return self.governor.select_frequency_fast(
-                self.loop.now,
-                None if in_service is None else in_service.completed_work,
-            )
         return self.governor.select_frequency(self._snapshot())
 
     def _start_next(self) -> None:
@@ -166,8 +159,6 @@ class CoreSimulator:
         if not self.queue:
             return
         request = self.queue.pop(0)
-        if self._incremental:
-            self.governor.on_service_start()
         request.start_time = self.loop.now
         self.in_service = request
         self._service_started_at = self.loop.now
@@ -224,8 +215,6 @@ class CoreSimulator:
         self.in_service = None
         self._service_started_at = None
         self._completion = None
-        if self._incremental:
-            self.governor.on_service_end()
         if self.queue:
             self._start_next()
         else:

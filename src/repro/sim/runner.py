@@ -28,7 +28,7 @@ from ..server.service import ServiceModel
 from ..stats import LatencySummary
 from .engine import EventLoop
 from .request import Request
-from .server import MultiCoreServer
+from .server import DISPATCH_POLICIES, MultiCoreServer
 
 __all__ = ["ServerSimConfig", "ServerSimResult", "run_server_simulation", "constant_latency_sampler"]
 
@@ -76,6 +76,12 @@ class ServerSimConfig:
             raise ConfigurationError("network budget must lie in [0, L)")
         if self.duration_s <= 0 or self.warmup_s < 0 or self.warmup_s >= self.duration_s:
             raise ConfigurationError("need 0 <= warmup < duration")
+        if self.n_cores < 1:
+            raise ConfigurationError(f"n_cores must be positive, got {self.n_cores}")
+        if self.dispatch not in DISPATCH_POLICIES:
+            raise ConfigurationError(
+                f"dispatch must be one of {DISPATCH_POLICIES}, got {self.dispatch!r}"
+            )
 
     @property
     def server_budget_s(self) -> float:
@@ -125,11 +131,13 @@ def run_server_simulation(
     :class:`~repro.power.sleep.SleepStateModel` to every core
     (PowerNap-family baselines and hybrids).
 
-    This is the one-point simulator: VP governors decide on their
-    tabulated :mod:`repro.simfast` engine through the incremental
-    deadline mirror.  Grids of points that share a workload trace run
-    through :func:`repro.simfast.multipoint.run_multipoint_simulation`
-    instead, bit-identical per point.
+    This is the scalar event loop.  Production reaches it only through
+    :func:`repro.simfast.multipoint.run_multipoint_simulation`, which
+    prices every point it can represent in lockstep (bit-identical per
+    point) and falls back here for timer and completion-hook
+    governors, sleep models and JSQ dispatch.  VP governors decide from
+    queue snapshots on their tabulated :mod:`repro.simfast` engine.
+    The oracle tests drive this loop directly.
 
     ``stats_out``, when given a dict, receives run instrumentation
     (``n_events`` processed by the event loop, ``n_decisions`` made by

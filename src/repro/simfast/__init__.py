@@ -1,4 +1,4 @@
-"""Server-simulation fast path: tabulated VP decisions + incremental queue state.
+"""Server-simulation fast path: tabulated VP decisions and the lockstep DES.
 
 The server-side twin of :mod:`repro.netfast`.  ``simfast`` turns the
 governor decision loop — the dominant cost of every Fig. 12 point and
@@ -7,27 +7,26 @@ joint sweep — into table lookups:
 * :class:`VPTableEngine` precomputes CCDF-at-budget rows per
   (head offset, fold count) so one decision is a single vectorized
   gather over the whole queue at *all* ladder frequencies at once;
-* :class:`IncrementalEquivalentQueue` mirrors a core's deadline state
-  across decisions, replacing per-event snapshot rebuilds;
 * :func:`shared_table_engine` shares the tables process-wide so warm
   sweep workers never rebuild them;
-* :func:`run_multipoint_simulation` advances a whole grid of points
-  that share a workload trace in lockstep, bit-identical per point to
-  the one-point simulator.
+* :func:`run_multipoint_simulation` advances any number of points that
+  share a workload trace in lockstep, bit-identical per point to the
+  scalar simulator.
 
-The call shape picks the engine: a single point runs on the tabulated
-incremental engine (:func:`repro.sim.runner.run_server_simulation`), a
-grid on the lockstep one.  The per-request mixture evaluation both
-replace is the test oracle in ``tests/oracles/server.py``;
-``tests/test_simfast_equivalence.py`` holds production to it.
+Every point the lockstep engine can represent runs on it, a single
+point as a grid of one.  The scalar loop
+(:func:`repro.sim.runner.run_server_simulation`) keeps timer and
+completion-hook governors, sleep models and JSQ dispatch, and decides
+VP governors there from queue snapshots.  The per-request mixture
+evaluation the tables replace is the test oracle in
+``tests/oracles/server.py``; ``tests/test_simfast_equivalence.py``
+holds production to it.
 """
 
-from .equivalent import IncrementalEquivalentQueue
 from .multipoint import MultipointPoint, run_multipoint_simulation
 from .tables import VPTableEngine, clear_shared_engines, shared_table_engine
 
 __all__ = [
-    "IncrementalEquivalentQueue",
     "MultipointPoint",
     "run_multipoint_simulation",
     "VPTableEngine",

@@ -21,7 +21,13 @@ result, must be bit-identical to production
   :class:`~repro.server.distributions.ConvolutionCache`;
 * :func:`reference_governor` — any :class:`~repro.policies.base.VPGovernor`
   class re-wired to decide through :class:`EquivalentQueue` snapshots,
-  binary-searching the ladder, with the incremental mirror switched off.
+  binary-searching the ladder.
+
+A reference governor only overrides the snapshot decision, so oracle
+runs must go through the scalar
+:func:`~repro.sim.runner.run_server_simulation`: the lockstep engine
+classifies any ``VPGovernor`` subclass onto its tables and would never
+call the mixture (``tests/test_simfast_equivalence.py`` guards this).
 """
 
 from __future__ import annotations
@@ -39,14 +45,10 @@ def reference_governor(governor_cls: type[VPGovernor]) -> type[VPGovernor]:
     """``governor_cls`` deciding through the snapshot mixture evaluation.
 
     The returned subclass keeps the policy's name and flags, so a
-    simulation under it reports the same governor; the core builds a
-    :class:`~repro.policies.base.QueueSnapshot` per decision instead of
-    keeping the tabulated mirror.
+    simulation under it reports the same governor.
     """
 
     class ReferenceGovernor(governor_cls):
-        incremental = False
-
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self._cache = ConvolutionCache(self.service_model.distribution)

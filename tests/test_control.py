@@ -78,22 +78,6 @@ class TestDiffs:
         r = Routing({"a": ("x", "s", "y")})
         assert diff_routings(r, r).is_empty
 
-    def test_unchanged_flows_skip_comparison(self):
-        old = Routing({"a": ("x", "s", "y"), "b": ("x", "s", "y")})
-        new = Routing({"a": ("x", "s", "y"), "b": ("x", "t", "y")})
-        # "a" genuinely kept its path: skipping it changes nothing.
-        d = diff_routings(old, new, unchanged=frozenset({"a"}))
-        assert d == diff_routings(old, new)
-        assert set(d.rerouted) == {"b"}
-
-    def test_unchanged_is_trusted_not_checked(self):
-        # The caller's proof is taken at face value — a flow flagged
-        # unchanged is excluded even if its paths differ (that's the
-        # whole point: no per-hop comparison happens for it).
-        old = Routing({"a": ("x", "s", "y")})
-        new = Routing({"a": ("x", "t", "y")})
-        assert diff_routings(old, new, unchanged=frozenset({"a"})).is_empty
-
     def test_subnet_diff(self, ft4):
         lvl0 = aggregation_policy(ft4, 0)
         lvl3 = aggregation_policy(ft4, 3)

@@ -386,7 +386,6 @@ class TestFusedJointGroupsRunLockstep:
                 assert out.error == value
 
     def test_fig13_groups_run_one_multipoint_pass_each(self, tmp_path, monkeypatch):
-        import repro.core.joint
         import repro.sim.runner
         import repro.simfast.multipoint
 
@@ -409,7 +408,6 @@ class TestFusedJointGroupsRunLockstep:
             )
             scalar = counting("scalar", repro.sim.runner.run_server_simulation)
             m.setattr(repro.sim.runner, "run_server_simulation", scalar)
-            m.setattr(repro.core.joint, "run_server_simulation", scalar)
             outs = run_sweep(tasks, ctx=_ctx(tmp_path))
 
         assert calls == {"multipoint": 1, "scalar": 0}

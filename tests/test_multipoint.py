@@ -2,10 +2,12 @@
 
 ``repro.simfast.multipoint`` simulates a whole constraint grid in one
 event loop; its hard contract is that every per-point result equals
-the one-point ``run_server_simulation`` with ``==`` on floats — no
-tolerance.  These tests pin that contract on fixed grids,
-randomized grids, the fig. 12 golden digests, the scalar-fallback
-paths, the shared-field validation, and the joint plural API.
+the scalar ``run_server_simulation`` with ``==`` on floats — no
+tolerance.  These tests pin that contract on one-point and fixed
+grids, randomized grids, the fig. 12 golden digests, the
+scalar-fallback paths, the shared-field validation and the joint
+plural API, and check that every production single-point entry runs
+on the lockstep engine.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.consolidation import route_on_subnet
-from repro.core import JointSimParams, evaluate_operating_point
+from repro.control.latency_monitor import LatencyMonitor
+from repro.core import EpronsDatacenter, JointSimParams, evaluate_operating_point
 from repro.core.joint import evaluate_operating_points
 from repro.errors import ConfigurationError
+from repro.exec.ops import governor_factory, server_sim_op
 from repro.policies import (
     EpronsNoReorderGovernor,
     EpronsServerGovernor,
@@ -29,6 +33,7 @@ from repro.policies import (
     RubikPlusGovernor,
     TimeTraderGovernor,
 )
+from repro.netsim.network import NetworkModel
 from repro.power.sleep import POWERNAP_SLEEP
 from repro.server import XEON_LADDER
 from repro.sim.runner import (
@@ -310,13 +315,131 @@ def test_evaluate_operating_points_matches_scalar(ft4):
         workload, traffic, consolidation, points, params=params
     )
 
+    sampler = LatencyMonitor(
+        NetworkModel(workload.topology, traffic, consolidation.routing)
+    ).pooled_sampler(seed_or_rng=params.seed)
     for L, point, ev in zip(constraints, points, plural):
         wl = workload.with_constraint(L)
-        scalar = evaluate_operating_point(
+        single = evaluate_operating_point(
             wl, traffic, consolidation, 0.3, point[2], params=params
         )
-        assert ev.total_watts == scalar.total_watts
-        assert ev.query_p95_s == scalar.query_p95_s
-        assert ev.violation_rate == scalar.violation_rate
-        assert ev.sla_met == scalar.sla_met
-        assert ev.server_result == scalar.server_result
+        assert ev.total_watts == single.total_watts
+        assert ev.query_p95_s == single.query_p95_s
+        assert ev.violation_rate == single.violation_rate
+        assert ev.sla_met == single.sla_met
+        assert ev.server_result == single.server_result
+        config = ServerSimConfig(
+            utilization=0.3,
+            latency_constraint_s=L,
+            network_budget_s=wl.network_budget_s,
+            n_cores=params.sim_cores,
+            duration_s=params.duration_s,
+            warmup_s=params.warmup_s,
+            static_watts=params.static_watts,
+            seed=params.seed,
+        )
+        assert ev.server_result == _scalar(
+            wl.service_model, point[2], config, network_latency_sampler=sampler
+        )
+
+
+# -- production routing ------------------------------------------------------------
+
+
+@pytest.fixture()
+def des_calls(monkeypatch):
+    """Count lockstep and scalar DES entries wherever a loaded ``repro``
+    module holds them (every caller is imported at the top of this
+    file, so none binds a wrapper left over from an earlier test)."""
+    import sys
+
+    calls = {"multipoint": 0, "scalar": 0}
+    for kind, fn in (
+        ("multipoint", run_multipoint_simulation),
+        ("scalar", run_server_simulation),
+    ):
+
+        def counting(*args, _fn=fn, _kind=kind, **kwargs):
+            calls[_kind] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
+
+
+LOCKSTEP = {"multipoint": 1, "scalar": 0}
+FALLBACK = {"multipoint": 1, "scalar": 1}
+
+
+@pytest.mark.parametrize(
+    "governor,sleep,expected",
+    [
+        ("eprons-server", "none", LOCKSTEP),
+        ("no-pm", "none", LOCKSTEP),
+        ("timetrader", "none", FALLBACK),
+        ("oracle", "none", FALLBACK),
+        ("eprons-server", "powernap", FALLBACK),
+    ],
+)
+def test_server_sim_op_runs_one_point_lockstep(des_calls, governor, sleep, expected):
+    server_sim_op(
+        arity=4, constraint_ms=30.0, governor=governor, utilization=0.3,
+        background=0.1, duration_s=2.0, warmup_s=0.5, n_cores=1, seed=1,
+        sleep=sleep,
+    )
+    assert des_calls == expected
+
+
+def test_server_sim_op_rejects_unknown_sleep_before_solving(monkeypatch):
+    import repro.exec.ops
+
+    def no_solve(**spec):
+        raise AssertionError("consolidation solved before the sleep name was checked")
+
+    monkeypatch.setattr(repro.exec.ops, "_cached_consolidation", no_solve)
+    with pytest.raises(ConfigurationError, match="deep.*powernap"):
+        server_sim_op(
+            arity=4, constraint_ms=30.0, governor="eprons-server", utilization=0.3,
+            background=0.1, duration_s=2.0, warmup_s=0.5, n_cores=1, seed=1,
+            sleep="deep",
+        )
+
+
+def _joint_setup(ft4):
+    workload = SearchWorkload(ft4)
+    traffic = workload.traffic(0.1, seed_or_rng=1)
+    consolidation = route_on_subnet(aggregation_policy(workload.topology, 2), traffic)
+    return workload, traffic, consolidation
+
+
+_JOINT_PARAMS = JointSimParams(sim_cores=1, duration_s=2.0, warmup_s=0.5)
+
+
+@pytest.mark.parametrize(
+    "governor,expected",
+    [
+        ("eprons-server", LOCKSTEP),
+        ("no-pm", LOCKSTEP),
+        ("timetrader", FALLBACK),
+        ("oracle", FALLBACK),
+    ],
+)
+def test_evaluate_operating_point_runs_one_point_lockstep(ft4, des_calls, governor, expected):
+    workload, traffic, consolidation = _joint_setup(ft4)
+    evaluate_operating_point(
+        workload, traffic, consolidation, 0.3,
+        governor_factory(governor, workload), params=_JOINT_PARAMS,
+    )
+    assert des_calls == expected
+
+
+@pytest.mark.parametrize("governor,expected", [(None, LOCKSTEP), ("timetrader", FALLBACK)])
+def test_datacenter_evaluate_runs_one_point_lockstep(ft4, des_calls, governor, expected):
+    workload, traffic, consolidation = _joint_setup(ft4)
+    dc = EpronsDatacenter(workload, levels=(2,), params=_JOINT_PARAMS)
+    candidate = dc.candidates(0.1)[0]
+    factory = governor_factory(governor, workload) if governor else None
+    dc.evaluate(candidate, 0.3, factory)
+    assert des_calls == expected

@@ -46,6 +46,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             cfg(warmup_s=20.0, duration_s=10.0)
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [("dispatch", "fifo", "dispatch"), ("n_cores", 0, "n_cores")],
+    )
+    def test_dispatch_and_core_count_validated(self, field, value, match):
+        """Rejected up front, so the lockstep engine (which never builds
+        a ``MultiCoreServer``) cannot run them as something else."""
+        with pytest.raises(ConfigurationError, match=match):
+            cfg(**{field: value})
+
 
 class TestSampler:
     def test_constant_sampler(self):

@@ -4,10 +4,13 @@ The :mod:`repro.simfast` tables are how every VP governor decides, not
 an approximation: frequency decisions, energy and latency tails must be
 exactly equal (``==`` on floats, not allclose) to the per-request
 mixture evaluation kept in ``tests/oracles/server.py`` — for every VP
-governor, including the EDF-reordering ones whose incremental deadline
-mirror must replay the core's stable sort.  A golden-hash regression
-additionally pins a full fig. 12 operating point to a digest captured
-from the mixture implementation, so neither side can drift silently.
+governor, including the EDF-reordering ones whose lockstep queue must
+replay the core's stable sort.  Production points run through the
+one-point lockstep path (:func:`run_multipoint_simulation`); the oracle
+runs on the scalar :func:`run_server_simulation`, the only engine that
+calls its mixture.  A golden-hash regression additionally pins a full
+fig. 12 operating point to a digest captured from the mixture
+implementation, so neither side can drift silently.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from repro.sim.runner import (
     constant_latency_sampler,
     run_server_simulation,
 )
+from repro.simfast import MultipointPoint, run_multipoint_simulation
+from tests.oracles import server as oracle
 from tests.oracles.server import reference_governor
 
 VP_GOVERNORS = (
@@ -84,14 +89,23 @@ def test_snapshot_decisions_identical(governor_pair, snapshot):
 # -- full-simulation equivalence ---------------------------------------------------
 
 
-def run_both(governor_cls, service_model, ladder, config, **kwargs):
-    """The same point under the production governor and its oracle."""
-    return tuple(
-        run_server_simulation(
-            service_model, lambda cls=cls: cls(service_model, ladder), config, **kwargs
-        )
-        for cls in (governor_cls, reference_governor(governor_cls))
+def run_both(governor_cls, service_model, ladder, config):
+    """The same point on the production one-point path and on the
+    oracle, which only the scalar runner can drive."""
+    (production,) = run_multipoint_simulation(
+        service_model,
+        [
+            MultipointPoint(
+                config=config,
+                governor_factory=lambda: governor_cls(service_model, ladder),
+            )
+        ],
     )
+    oracle_cls = reference_governor(governor_cls)
+    reference = run_server_simulation(
+        service_model, lambda: oracle_cls(service_model, ladder), config
+    )
+    return production, reference
 
 
 @pytest.mark.parametrize("governor_cls", VP_GOVERNORS, ids=lambda c: c.name)
@@ -109,8 +123,9 @@ def test_full_simulation_identical(governor_cls, service_model, ladder):
 
 
 def test_full_simulation_identical_with_sleep_and_reply(service_model, ladder):
-    """The incremental mirror must also track sleep transitions and
-    reply-latency deadline wiring exactly."""
+    """Sleep points stay on the scalar runner, where the tabulated
+    snapshot decision must track sleep transitions and reply-latency
+    deadline wiring exactly."""
     config = ServerSimConfig(
         utilization=0.25,
         latency_constraint_s=30e-3,
@@ -119,15 +134,40 @@ def test_full_simulation_identical_with_sleep_and_reply(service_model, ladder):
         warmup_s=1.0,
         seed=5,
     )
-    tabulated, reference = run_both(
-        EpronsServerGovernor,
-        service_model,
-        ladder,
-        config,
-        sleep_model=POWERNAP_SLEEP,
-        reply_latency_sampler=constant_latency_sampler(1e-3),
+    tabulated, reference = (
+        run_server_simulation(
+            service_model,
+            lambda cls=cls: cls(service_model, ladder),
+            config,
+            sleep_model=POWERNAP_SLEEP,
+            reply_latency_sampler=constant_latency_sampler(1e-3),
+        )
+        for cls in (EpronsServerGovernor, reference_governor(EpronsServerGovernor))
     )
     assert tabulated == reference
+
+
+def test_oracle_run_evaluates_the_mixture(service_model, ladder, monkeypatch):
+    """A reference governor is a ``VPGovernor`` subclass, which the
+    lockstep engine would price on its tables: oracle runs must go
+    through the scalar runner and actually build mixture queues."""
+    built = []
+    original = oracle.EquivalentQueue.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(oracle.EquivalentQueue, "__init__", counting_init)
+    config = ServerSimConfig(
+        utilization=0.3,
+        latency_constraint_s=30e-3,
+        n_cores=1,
+        duration_s=2.0,
+        warmup_s=0.5,
+    )
+    run_both(RubikGovernor, service_model, ladder, config)
+    assert built
 
 
 # -- golden-hash regression on a fig. 12 point -------------------------------------

@@ -1,10 +1,9 @@
-"""Unit tests for the simfast VP table engine and incremental queue.
+"""Unit tests for the simfast VP table engine.
 
 The equivalence of whole decisions and whole simulations lives in
 ``test_simfast_equivalence.py``; here we pin the building blocks — the
 table rows against the reference mixture math, the exactness of the
-idle-head rows, byte-capped eviction, the process-level registry, and
-the incremental deadline mirror's transition discipline.
+idle-head rows, byte-capped eviction and the process-level registry.
 """
 
 from __future__ import annotations
@@ -12,9 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.server.dvfs import XEON_LADDER, FrequencyLadder
-from repro.simfast.equivalent import IncrementalEquivalentQueue
 from repro.simfast.tables import (
     VPTableEngine,
     clear_shared_engines,
@@ -201,63 +199,3 @@ def test_shared_engine_capacity_bounded(service_model):
         assert shared_table_engine(service_model, XEON_LADDER) is not first
     finally:
         clear_shared_engines()
-
-
-# -- incremental mirror ------------------------------------------------------------
-
-
-def test_mirror_fifo_round_trip():
-    q = IncrementalEquivalentQueue()
-    for d in (5.0, 3.0, 9.0):
-        q.enqueue(d)
-    assert q.n_queued == 3
-    assert q.in_service_deadline is None
-    q.start_service()
-    assert q.in_service_deadline == 5.0
-    np.testing.assert_array_equal(q.queued_deadlines(), [3.0, 9.0])
-    np.testing.assert_array_equal(q.deltas(1.0), [4.0, 2.0, 8.0])
-    q.end_service()
-    np.testing.assert_array_equal(q.deltas(0.0), [3.0, 9.0])
-
-
-def test_mirror_sorted_insert_matches_stable_sort():
-    rng = np.random.default_rng(3)
-    q = IncrementalEquivalentQueue()
-    mirror: list[tuple[float, int]] = []
-    for rid in range(200):
-        d = float(rng.integers(0, 12))  # coarse values force ties
-        q.enqueue_sorted(d)
-        mirror.append((d, rid))
-        mirror.sort()  # stable: ties stay in arrival (rid) order
-        np.testing.assert_array_equal(
-            q.queued_deadlines(), [d for d, _ in mirror]
-        )
-        if rid % 7 == 0:
-            q.start_service()
-            popped = mirror.pop(0)
-            assert q.in_service_deadline == popped[0]
-            q.end_service()
-
-
-def test_mirror_grows_and_compacts():
-    q = IncrementalEquivalentQueue()
-    for i in range(500):
-        q.enqueue(float(i))
-        if i % 2:
-            q.start_service()
-            q.end_service()
-    assert q.n_queued == 250
-    np.testing.assert_array_equal(q.queued_deadlines(), np.arange(250.0, 500.0))
-
-
-def test_mirror_transition_guards():
-    q = IncrementalEquivalentQueue()
-    with pytest.raises(SimulationError):
-        q.start_service()
-    q.enqueue(1.0)
-    q.start_service()
-    with pytest.raises(SimulationError):
-        q.start_service()
-    q.end_service()
-    with pytest.raises(SimulationError):
-        q.end_service()
