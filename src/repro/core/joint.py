@@ -105,7 +105,7 @@ def evaluate_operating_point(
     its actual demands.  This is :func:`evaluate_operating_points` on a
     grid of one: the server runs on the lockstep engine, or on the
     scalar simulator when the lockstep engine cannot represent the
-    governor.
+    governor (the clairvoyant oracle).
     """
     (evaluation,) = evaluate_operating_points(
         workload,

@@ -17,9 +17,9 @@ lives.
 
 Every server point runs through the lockstep multi-point engine: a
 single point (``server-sim``, ``joint-eval``) as a grid of one, a fused
-``joint-eval-batch`` group in one pass.  Points it cannot represent
-(timer or completion-hook governors, sleep models) fall back to the
-scalar simulator inside it.  No op takes an engine argument.
+``joint-eval-batch`` group in one pass, TimeTrader included.  Points it
+cannot represent (the clairvoyant oracle, sleep models) fall back to
+the scalar simulator inside it.  No op takes an engine argument.
 """
 
 from __future__ import annotations
@@ -481,8 +481,8 @@ def server_sim_op(
     power-managed here" setup; the underlying consolidation solve is
     itself cache-shared with every other figure at the same traffic.
 
-    The point runs as a one-point lockstep grid; a ``sleep`` model or a
-    timer/feedback governor sends it to the scalar simulator instead.
+    The point runs as a one-point lockstep grid; a ``sleep`` model or
+    the clairvoyant oracle sends it to the scalar simulator instead.
     VP governors fetch their tables from the process-wide
     :func:`repro.simfast.shared_table_engine` registry, so every
     server-sim task a warm worker executes for the same (service model,

@@ -20,6 +20,8 @@ the last window:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -45,8 +47,16 @@ class TimeTraderGovernor(Governor):
         upper_band: float = 0.95,
         lower_band: float = 0.80,
     ):
-        if latency_constraint_s <= 0:
-            raise ConfigurationError("latency constraint must be positive")
+        # Checked here, not at the first timer tick deep in a run; the
+        # negated comparisons also reject NaN.
+        if not (math.isfinite(latency_constraint_s) and latency_constraint_s > 0):
+            raise ConfigurationError(
+                f"latency constraint must be finite and positive, got {latency_constraint_s}"
+            )
+        if not 0.0 < tail_quantile <= 100.0:
+            raise ConfigurationError(
+                f"tail quantile must lie in (0, 100], got {tail_quantile}"
+            )
         if not 0.0 < lower_band < upper_band <= 1.0:
             raise ConfigurationError(
                 f"bands must satisfy 0 < lower < upper <= 1, got "

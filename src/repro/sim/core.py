@@ -18,8 +18,10 @@ Work accounting uses *reference work* (see
 
 This event loop prices the points the lockstep engine
 (:func:`repro.simfast.run_multipoint_simulation`) cannot represent:
-timer and completion-hook governors, sleep models and JSQ dispatch.
-The oracle tests drive it too.
+the clairvoyant oracle, sleep models (TimeTrader with one included)
+and JSQ dispatch.  Its timer and ``on_complete`` wiring is also the
+oracle the lockstep engine's TimeTrader kind is held to, and the
+oracle tests drive it too.
 """
 
 from __future__ import annotations

@@ -134,10 +134,11 @@ def run_server_simulation(
     This is the scalar event loop.  Production reaches it only through
     :func:`repro.simfast.multipoint.run_multipoint_simulation`, which
     prices every point it can represent in lockstep (bit-identical per
-    point) and falls back here for timer and completion-hook
-    governors, sleep models and JSQ dispatch.  VP governors decide from
-    queue snapshots on their tabulated :mod:`repro.simfast` engine.
-    The oracle tests drive this loop directly.
+    point, TimeTrader included) and falls back here for the
+    clairvoyant oracle, sleep models and JSQ dispatch.  VP governors
+    decide from queue snapshots on their tabulated :mod:`repro.simfast`
+    engine.  The oracle tests drive this loop directly, and its timer
+    path is the oracle for the lockstep TimeTrader kind.
 
     ``stats_out``, when given a dict, receives run instrumentation
     (``n_events`` processed by the event loop, ``n_decisions`` made by

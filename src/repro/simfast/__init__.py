@@ -14,10 +14,11 @@ joint sweep — into table lookups:
   scalar simulator.
 
 Every point the lockstep engine can represent runs on it, a single
-point as a grid of one.  The scalar loop
-(:func:`repro.sim.runner.run_server_simulation`) keeps timer and
-completion-hook governors, sleep models and JSQ dispatch, and decides
-VP governors there from queue snapshots.  The per-request mixture
+point as a grid of one; that includes TimeTrader, whose 5 s timer and
+completion window run as a feedback group kind.  The scalar loop
+(:func:`repro.sim.runner.run_server_simulation`) keeps the clairvoyant
+oracle, sleep models and JSQ dispatch, and decides VP governors there
+from queue snapshots.  The per-request mixture
 evaluation the tables replace is the test oracle in
 ``tests/oracles/server.py``; ``tests/test_simfast_equivalence.py``
 holds production to it.

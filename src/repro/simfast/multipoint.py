@@ -30,11 +30,21 @@ divergence rather than to the grid size:
   per-core driver advances the group with the smallest next-arrival
   index first, so no merge opportunity is ever missed.
 
+TimeTrader points form a third, *feedback* group kind beside the
+constant and VP-table ones: a per-point singleton (its window is per
+point, so it never forks or merges) holding its core's governor.  The
+group applies the governor's current frequency at each decision,
+feeds every completion to ``on_complete`` and carries the governor's
+next timer tick, firing ``on_timer`` (then, on a busy core, a sync and
+a non-forced re-decision) exactly as the scalar loop's periodic event
+does — ticks at a phase end included, like every event there.  Other
+groups carry no timer, which costs their events one comparison.
+
 The hard contract is bit-identical per-point results: every float op
 below mirrors the scalar simulator's op order (see
 ``tests/test_multipoint.py``).  Points the lockstep engine cannot
-represent (feedback governors with timers or completion hooks, sleep
-models, JSQ dispatch) transparently fall back to scalar
+represent (the clairvoyant oracle, sleep models, JSQ dispatch)
+transparently fall back to scalar
 :func:`~repro.sim.runner.run_server_simulation` runs — correct, just
 not accelerated.
 
@@ -44,7 +54,12 @@ ordering follows heap sequence numbers and is completion-first in every
 reachable schedule except a measure-zero float coincidence (a
 completion rescheduled by an unrelated core event colliding bitwise
 with a pre-scheduled arrival), which fixed-seed equivalence tests
-would surface.
+would surface.  A timer tick tied with an arrival or a completion
+fires first here.  The scalar loop schedules each tick a full period
+(5 s) ahead, so the tick holds the lower sequence number unless the
+tied arrival's inter-arrival gap, or the time since the tied
+completion's last frequency decision, is longer than the period — on
+top of the bitwise tie itself being a measure-zero coincidence.
 """
 
 from __future__ import annotations
@@ -104,10 +119,11 @@ class _Trace:
 class _Kind:
     """Immutable per-group policy configuration (shared by forks)."""
 
-    __slots__ = ("index", "vp", "tables", "vp_mode", "target_vp", "reorders", "f_const")
+    __slots__ = ("index", "vp", "tables", "vp_mode", "target_vp", "reorders", "f_const",
+                 "factory")
 
     def __init__(self, index, vp, tables=None, vp_mode=None, target_vp=None,
-                 reorders=False, f_const=None):
+                 reorders=False, f_const=None, factory=None):
         self.index = index
         self.vp = vp
         self.tables = tables
@@ -115,6 +131,9 @@ class _Kind:
         self.target_vp = target_vp
         self.reorders = reorders
         self.f_const = f_const
+        #: Feedback kinds only: the point's governor factory (one
+        #: governor per core, as in the scalar loop).
+        self.factory = factory
 
 
 class _Group:
@@ -126,19 +145,27 @@ class _Group:
     output accumulators (energy, busy time, frequency residency) are
     per-point vectors — the latter so that groups whose dynamics
     reconverge can merge regardless of their divergent histories.
+
+    A feedback group (TimeTrader) is a single point that owns its
+    core's governor ``gov`` and that governor's next timer tick
+    ``t_timer``; every other group carries ``gov = None`` and
+    ``t_timer = inf``.
     """
 
     __slots__ = (
-        "kind", "pts", "queue", "qdl", "n_q", "svc", "svc_gd",
+        "kind", "pts", "gov", "t_timer", "queue", "qdl", "n_q", "svc", "svc_gd",
         "remaining", "started_at", "frequency", "completion",
         "power", "mtime", "mstart", "energy",
         "busy", "wfreq", "stats_start", "ptr", "done",
     )
 
-    def __init__(self, kind: _Kind, pts: np.ndarray, idle_watts: float):
+    def __init__(self, kind: _Kind, pts: np.ndarray, idle_watts: float, gov=None):
         n = len(pts)
         self.kind = kind
         self.pts = pts
+        self.gov = gov
+        # The scalar loop arms the first tick one period after t = 0.
+        self.t_timer = _INF if gov is None else gov.timer_period_s
         self.queue: list[int] = []
         self.qdl = np.empty((n, 16)) if kind.vp else None
         self.n_q = 0
@@ -165,6 +192,8 @@ class _Group:
         child = _Group.__new__(_Group)
         child.kind = self.kind
         child.pts = self.pts[rows]
+        child.gov = self.gov
+        child.t_timer = self.t_timer
         child.queue = list(self.queue)
         child.qdl = self.qdl[rows].copy() if self.qdl is not None else None
         child.n_q = self.n_q
@@ -191,6 +220,8 @@ class _Group:
         merged = _Group.__new__(_Group)
         merged.kind = self.kind
         merged.pts = np.concatenate([self.pts, other.pts])
+        merged.gov = self.gov
+        merged.t_timer = self.t_timer
         merged.queue = []
         merged.qdl = np.empty((len(merged.pts), 16)) if self.kind.vp else None
         merged.n_q = 0
@@ -215,12 +246,17 @@ class _Group:
 class _CoreEngine:
     """Advances one core's point groups through the shared trace."""
 
-    def __init__(self, trace, arr_ids, gd, speed_of, active_power_of,
+    def __init__(self, trace, arr_ids, gd, dl, net, rep, speed_of, active_power_of,
                  idle_watts, stats, point_done):
         self.trace = trace
         self.arr_ids = arr_ids  # (m,) global arrival indices on this core
         self.arr_t = trace.arrival[arr_ids]
         self.gd = gd  # (P, M) per-point governor deadlines
+        # Feedback completion hooks only: actual deadlines and the
+        # request/reply latencies, kept apart for Request's op order.
+        self.dl = dl  # (P, M)
+        self.net = net  # (M,)
+        self.rep = rep  # (M,)
         self.speed_of = speed_of
         self.active_power_of = active_power_of
         self.idle_watts = idle_watts
@@ -291,7 +327,10 @@ class _CoreEngine:
     def _decide_apply(self, g: _Group, now: float, force: bool):
         kind = g.kind
         if not kind.vp:
-            self._apply(g, kind.f_const, now, force)
+            # TimeTrader's select_frequency ignores the snapshot and
+            # returns its current frequency, so no snapshot is built.
+            f = kind.f_const if g.gov is None else g.gov.current_frequency
+            self._apply(g, f, now, force)
             return None
         n_pts = len(g.pts)
         q = g.n_q
@@ -411,7 +450,13 @@ class _CoreEngine:
     def _handle_completion(self, g: _Group, now: float):
         self._sync(g, now)
         g.remaining = 0.0
-        g.done.append((g.svc, now))
+        a = g.svc
+        g.done.append((a, now))
+        if g.gov is not None:
+            # Request.total_latency's op order: (net + sojourn) + reply.
+            total = (self.net[a] + (now - self.trace.arrival[a])) + self.rep[a]
+            met = not (now > self.dl[g.pts[0], a] + 1e-12)
+            g.gov.on_complete(total, met, now)
         g.svc = None
         g.started_at = None
         g.completion = None
@@ -422,6 +467,13 @@ class _CoreEngine:
         g.frequency = 0.0
         self._set_power(g, self.idle_watts, now)
         return None
+
+    def _handle_timer(self, g: _Group, now: float) -> None:
+        g.t_timer = now + g.gov.timer_period_s
+        g.gov.on_timer(now)
+        if g.svc is not None:
+            self._sync(g, now)
+            self._decide_apply(g, now, force=False)
 
     # -- the loop -------------------------------------------------------------------
 
@@ -436,6 +488,13 @@ class _CoreEngine:
         while True:
             t_arr = arr_t[g.ptr] if g.ptr < n_arr else _INF
             t_cmp = g.completion if g.svc is not None else _INF
+            t_tmr = g.t_timer  # inf unless a feedback group
+            if t_tmr <= t_arr and t_tmr <= t_cmp:
+                if t_tmr > until:
+                    return None
+                self.stats["n_events"] += 1
+                self._handle_timer(g, t_tmr)
+                continue
             if t_cmp <= t_arr:
                 if t_cmp > until:
                     return None
@@ -555,12 +614,21 @@ def _extract_trace(service_model, cfg, network_latency_sampler,
 
 
 def _classify(probe, sleep_model, dispatch):
-    """True when the lockstep engine reproduces this point exactly."""
+    """True when the lockstep engine reproduces this point exactly.
+
+    Lockstep prices the constant, VP-table and TimeTrader governors on
+    per-core dispatch without a sleep model; the scalar loop keeps
+    every other timer or completion-hook governor (the clairvoyant
+    oracle reads true work), sleep models and JSQ dispatch.
+    """
     from ..policies.base import Governor, VPGovernor
     from ..policies.maxfreq import MaxFrequencyGovernor
+    from ..policies.timetrader import TimeTraderGovernor
 
     if sleep_model is not None or dispatch == "jsq":
         return False
+    if isinstance(probe, TimeTraderGovernor):
+        return True
     if type(probe).timer_period_s is not None:
         return False
     if type(probe).on_complete is not Governor.on_complete:
@@ -570,9 +638,14 @@ def _classify(probe, sleep_model, dispatch):
 
 def _group_key(probe):
     from ..policies.maxfreq import MaxFrequencyGovernor
+    from ..policies.timetrader import TimeTraderGovernor
 
     if isinstance(probe, MaxFrequencyGovernor):
         return ("const", float(probe.ladder.f_max))
+    if isinstance(probe, TimeTraderGovernor):
+        # Feedback state is per point: a singleton group that never
+        # forks or merges.
+        return ("feedback", id(probe))
     # network_aware is deliberately absent: it only shapes the deadline
     # *values* (per-point data), not the group dynamics.
     return (
@@ -691,6 +764,9 @@ def run_multipoint_simulation(
             if key not in kinds:
                 if key[0] == "const":
                     kind = _Kind(index=len(kinds), vp=False, f_const=key[1])
+                elif key[0] == "feedback":
+                    kind = _Kind(index=len(kinds), vp=False,
+                                 factory=points[i].governor_factory)
                 else:
                     kind = _Kind(
                         index=len(kinds),
@@ -712,13 +788,19 @@ def run_multipoint_simulation(
         for c in range(cfg0.n_cores):
             arr_ids = np.flatnonzero(trace.core == c)
             engine = _CoreEngine(
-                trace, arr_ids, gd, speed_of, active_power_of,
+                trace, arr_ids, gd, dl, net, rep, speed_of, active_power_of,
                 power_model.idle_watts, stats, point_done,
             )
-            groups = [
-                _Group(kind, np.asarray(rows, dtype=np.intp), power_model.idle_watts)
-                for kind, rows in kinds.values()
-            ]
+            groups = []
+            for kind, rows in kinds.values():
+                gov = None
+                if kind.factory is not None:
+                    # As in the scalar loop: the probe serves core 0,
+                    # the factory makes every other core's governor.
+                    gov = probes[supported[rows[0]]] if c == 0 else kind.factory()
+                groups.append(_Group(
+                    kind, np.asarray(rows, dtype=np.intp), power_model.idle_watts, gov
+                ))
             leaves = engine.run_phase(groups, warmup)
             for g in leaves:
                 engine._sync(g, warmup)

@@ -24,11 +24,12 @@ from repro.control.latency_monitor import LatencyMonitor
 from repro.core import EpronsDatacenter, JointSimParams, evaluate_operating_point
 from repro.core.joint import evaluate_operating_points
 from repro.errors import ConfigurationError
-from repro.exec.ops import governor_factory, server_sim_op
+from repro.exec.ops import diurnal_profile_op, governor_factory, server_sim_op
 from repro.policies import (
     EpronsNoReorderGovernor,
     EpronsServerGovernor,
     MaxFrequencyGovernor,
+    OracleGovernor,
     RubikGovernor,
     RubikPlusGovernor,
     TimeTraderGovernor,
@@ -167,22 +168,43 @@ def test_empty_points_returns_empty(service_model):
 # -- fig. 12 golden digests through the multipoint path ----------------------------
 
 
-@pytest.mark.parametrize(
-    "governor_cls", [RubikGovernor, EpronsServerGovernor], ids=lambda c: c.name
+_FIG12_CONFIG = ServerSimConfig(
+    utilization=0.3,
+    latency_constraint_s=30e-3,
+    n_cores=2,
+    duration_s=12.0,
+    warmup_s=4.0,
+    seed=3,
 )
-def test_fig12_point_golden_hash_multipoint(governor_cls, service_model, ladder):
-    config = ServerSimConfig(
-        utilization=0.3,
-        latency_constraint_s=30e-3,
-        n_cores=2,
-        duration_s=12.0,
-        warmup_s=4.0,
-        seed=3,
-    )
+
+
+def _fig12_factory(name, service_model, ladder):
+    if name == "timetrader":
+        return lambda: TimeTraderGovernor(ladder, _FIG12_CONFIG.latency_constraint_s)
+    cls = {
+        "rubik": RubikGovernor,
+        "eprons-server": EpronsServerGovernor,
+        "no-pm": MaxFrequencyGovernor,
+    }[name]
+    return _factory(cls, service_model, ladder)
+
+
+@pytest.mark.parametrize("name", sorted(FIG12_POINT_DIGESTS))
+def test_fig12_point_golden_hash_multipoint(name, service_model, ladder):
     result = _one_point(
-        service_model, _factory(governor_cls, service_model, ladder), config
+        service_model, _fig12_factory(name, service_model, ladder), _FIG12_CONFIG
     )
-    assert result_digest(result) == FIG12_POINT_DIGESTS[governor_cls.name]
+    assert result_digest(result) == FIG12_POINT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["timetrader", "no-pm"])
+def test_fig12_point_golden_hash_scalar(name, service_model, ladder):
+    """The scalar loop, the oracle the lockstep engine is held to,
+    reproduces the timer and constant digests too."""
+    result = run_server_simulation(
+        service_model, _fig12_factory(name, service_model, ladder), _FIG12_CONFIG
+    )
+    assert result_digest(result) == FIG12_POINT_DIGESTS[name]
 
 
 # -- randomized grids --------------------------------------------------------------
@@ -220,26 +242,162 @@ def test_random_grids_match_scalar(data, service_model, ladder):
         assert result == _scalar(service_model, factory, cfg)
 
 
+# -- TimeTrader: the feedback kind -------------------------------------------------
+
+
+def _reply_sampler(n, rng):
+    return rng.uniform(0.0, 2e-3, n)
+
+
+def _timetrader(ladder, constraint_s=30e-3):
+    return lambda: TimeTraderGovernor(ladder, constraint_s)
+
+
+#: (duration_s, warmup_s): fig. 15's TimeTrader shape scaled down — a
+#: warmup ending on the 4th tick and a run ending on the 5th — and an
+#: off-grid end and warmup.
+_ON_TICK, _OFF_TICK = (25.0, 20.0), (17.0, 3.3)
+
+#: A pairwise cover of seed × n_cores × utilization × phase shape ×
+#: reply sampler × dispatch (every pair of values meets in some row),
+#: plus the heaviest corner.
+_TIMETRADER_CASES = [
+    (0, 3, 0.05, _OFF_TICK, False, "round-robin"),
+    (5, 1, 0.05, _ON_TICK, True, "random"),
+    (0, 1, 0.6, _OFF_TICK, False, "random"),
+    (5, 3, 0.6, _ON_TICK, True, "round-robin"),
+    (0, 1, 0.85, _ON_TICK, True, "round-robin"),
+    (0, 3, 0.85, _OFF_TICK, True, "random"),
+    (5, 1, 0.85, _OFF_TICK, False, "round-robin"),
+    (5, 3, 0.85, _ON_TICK, False, "random"),
+    (0, 3, 0.85, _ON_TICK, True, "round-robin"),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,n_cores,utilization,phases,reply,dispatch",
+    _TIMETRADER_CASES,
+    ids=[
+        f"s{c[0]}-c{c[1]}-u{c[2]}-{'on' if c[3] == _ON_TICK else 'off'}-tick"
+        f"-{'reply' if c[4] else 'noreply'}-{c[5]}"
+        for c in _TIMETRADER_CASES
+    ],
+)
+def test_timetrader_lockstep_matches_scalar(
+    service_model, ladder, seed, n_cores, utilization, phases, reply, dispatch
+):
+    """Timer ticks (inclusive at each phase end) and the completion
+    window replay the scalar loop bit for bit."""
+    assert TimeTraderGovernor.timer_period_s == 5.0  # _ON_TICK's arithmetic
+    duration_s, warmup_s = phases
+    config = _config(
+        utilization=utilization, n_cores=n_cores, duration_s=duration_s,
+        warmup_s=warmup_s, seed=seed, dispatch=dispatch,
+    )
+    factory = _timetrader(ladder)
+    kwargs = {"reply_latency_sampler": _reply_sampler} if reply else {}
+    stats: dict = {}
+    (result,) = run_multipoint_simulation(
+        service_model, [MultipointPoint(config=config, governor_factory=factory)],
+        stats_out=stats, **kwargs,
+    )
+    assert stats["n_fallback"] == 0
+    assert result == _scalar(service_model, factory, config, **kwargs)
+
+
+def _recording_timetrader(ladder, constraint_s, logs):
+    """A TimeTrader factory whose governors log every hook call."""
+
+    class Recording(TimeTraderGovernor):
+        def on_complete(self, total_latency_s, deadline_met, now):
+            self.log.append(("complete", total_latency_s, deadline_met, now))
+            super().on_complete(total_latency_s, deadline_met, now)
+
+        def on_timer(self, now):
+            super().on_timer(now)
+            self.log.append(("timer", now, self.current_frequency))
+
+    def factory():
+        gov = Recording(ladder, constraint_s)
+        gov.log = []
+        logs.append(gov.log)
+        return gov
+
+    return factory
+
+
+def test_timetrader_hooks_replay_the_scalar_loop(service_model, ladder):
+    """Per core, the lockstep engine feeds the governor the same
+    completion latencies (Request.total_latency's op order), deadline
+    flags and tick times as the scalar loop — ticks on the warmup end
+    and the run end included — and the governor leaves f_max."""
+    config = _config(utilization=0.6, n_cores=2, duration_s=20.0, warmup_s=10.0)
+    lockstep_logs: list = []
+    scalar_logs: list = []
+    (result,) = run_multipoint_simulation(
+        service_model,
+        [MultipointPoint(
+            config=config,
+            governor_factory=_recording_timetrader(ladder, 30e-3, lockstep_logs),
+        )],
+        reply_latency_sampler=_reply_sampler,
+    )
+    expected = run_server_simulation(
+        service_model, _recording_timetrader(ladder, 30e-3, scalar_logs), config,
+        reply_latency_sampler=_reply_sampler,
+    )
+    assert result == expected
+    assert len(lockstep_logs) == config.n_cores
+    assert lockstep_logs == scalar_logs
+    for log in lockstep_logs:
+        ticks = [entry for entry in log if entry[0] == "timer"]
+        assert [t[1] for t in ticks] == [5.0, 10.0, 15.0, 20.0]
+        assert min(t[2] for t in ticks) < ladder.f_max
+    assert result.mean_busy_frequency_hz < ladder.f_max
+
+
+def test_timetrader_mixed_grid_runs_lockstep(service_model, ladder):
+    """TimeTrader at two constraints shares one pass with VP and
+    constant points; nothing falls back."""
+    constraints = (25e-3, 35e-3)
+    entries = [
+        (_config(L), _timetrader(ladder, L)) for L in constraints
+    ] + [
+        (_config(30e-3), _factory(EpronsServerGovernor, service_model, ladder)),
+        (_config(30e-3), _factory(MaxFrequencyGovernor, service_model, ladder)),
+    ]
+    stats: dict = {}
+    grid = run_multipoint_simulation(
+        service_model,
+        [MultipointPoint(config=cfg, governor_factory=f) for cfg, f in entries],
+        stats_out=stats,
+    )
+    assert stats["n_fallback"] == 0
+    for (cfg, factory), result in zip(entries, grid):
+        assert result == _scalar(service_model, factory, cfg)
+
+
 # -- scalar fallback ---------------------------------------------------------------
 
 
 def test_feedback_governor_falls_back_to_scalar(service_model, ladder):
-    """TimeTrader needs its window timer — the lockstep engine routes it
-    through the scalar simulator, mixed freely with lockstep points."""
+    """The clairvoyant oracle reads true remaining work, which the
+    lockstep engine does not model — it routes the point through the
+    scalar simulator, mixed freely with lockstep points."""
     config = _config()
-    tt = lambda: TimeTraderGovernor(ladder, config.latency_constraint_s)  # noqa: E731
+    oracle = lambda: OracleGovernor(service_model.frequency_model, ladder)  # noqa: E731
     epr = _factory(EpronsServerGovernor, service_model, ladder)
     stats: dict = {}
     grid = run_multipoint_simulation(
         service_model,
         [
-            MultipointPoint(config=config, governor_factory=tt),
+            MultipointPoint(config=config, governor_factory=oracle),
             MultipointPoint(config=config, governor_factory=epr),
         ],
         stats_out=stats,
     )
     assert stats["n_fallback"] == 1
-    assert grid[0] == run_server_simulation(service_model, tt, config)
+    assert grid[0] == run_server_simulation(service_model, oracle, config)
     assert grid[1] == _scalar(service_model, epr, config)
 
 
@@ -378,7 +536,7 @@ FALLBACK = {"multipoint": 1, "scalar": 1}
     [
         ("eprons-server", "none", LOCKSTEP),
         ("no-pm", "none", LOCKSTEP),
-        ("timetrader", "none", FALLBACK),
+        ("timetrader", "none", LOCKSTEP),
         ("oracle", "none", FALLBACK),
         ("eprons-server", "powernap", FALLBACK),
     ],
@@ -422,7 +580,7 @@ _JOINT_PARAMS = JointSimParams(sim_cores=1, duration_s=2.0, warmup_s=0.5)
     [
         ("eprons-server", LOCKSTEP),
         ("no-pm", LOCKSTEP),
-        ("timetrader", FALLBACK),
+        ("timetrader", LOCKSTEP),
         ("oracle", FALLBACK),
     ],
 )
@@ -435,7 +593,7 @@ def test_evaluate_operating_point_runs_one_point_lockstep(ft4, des_calls, govern
     assert des_calls == expected
 
 
-@pytest.mark.parametrize("governor,expected", [(None, LOCKSTEP), ("timetrader", FALLBACK)])
+@pytest.mark.parametrize("governor,expected", [(None, LOCKSTEP), ("timetrader", LOCKSTEP)])
 def test_datacenter_evaluate_runs_one_point_lockstep(ft4, des_calls, governor, expected):
     workload, traffic, consolidation = _joint_setup(ft4)
     dc = EpronsDatacenter(workload, levels=(2,), params=_JOINT_PARAMS)
@@ -443,3 +601,16 @@ def test_datacenter_evaluate_runs_one_point_lockstep(ft4, des_calls, governor, e
     factory = governor_factory(governor, workload) if governor else None
     dc.evaluate(candidate, 0.3, factory)
     assert des_calls == expected
+
+
+def test_fig15_timetrader_profile_makes_no_scalar_call(des_calls):
+    """Fig. 15's TimeTrader profiles (60 s runs, 20 s warmup) price
+    every utilization on the lockstep engine."""
+    util_grid = (0.2, 0.5)
+    out = diurnal_profile_op(
+        arity=4, scheme="timetrader", level=0, bg_bucket=0.1,
+        util_grid=util_grid, params=JointSimParams(sim_cores=1),
+        traffic_seed=1,
+    )
+    assert out["profile"] is not None
+    assert des_calls == {"multipoint": len(util_grid), "scalar": 0}

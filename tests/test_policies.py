@@ -196,6 +196,26 @@ class TestTimeTrader:
         with pytest.raises(ConfigurationError):
             TimeTraderGovernor(ladder, 30e-3, lower_band=0.9, upper_band=0.8)
 
+    @pytest.mark.parametrize("q", [150.0, -5.0, 0.0, float("nan")])
+    def test_tail_quantile_checked_at_construction(self, ladder, q):
+        """A bad quantile used to surface only at the first timer tick."""
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="tail quantile"):
+            TimeTraderGovernor(ladder, 30e-3, tail_quantile=q)
+
+    @pytest.mark.parametrize("constraint", [float("nan"), float("inf"), 0.0])
+    def test_constraint_must_be_finite_and_positive(self, ladder, constraint):
+        """A NaN constraint used to fail every band comparison and run
+        the governor silently as no-pm."""
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="latency constraint"):
+            TimeTraderGovernor(ladder, constraint)
+
+    def test_full_quantile_range_accepted(self, ladder):
+        assert TimeTraderGovernor(ladder, 30e-3, tail_quantile=100.0).tail_quantile == 100.0
+
 
 class TestMaxFrequency:
     def test_always_max(self, ladder):

@@ -172,11 +172,15 @@ def test_oracle_run_evaluates_the_mixture(service_model, ladder, monkeypatch):
 
 # -- golden-hash regression on a fig. 12 point -------------------------------------
 
-#: Captured from the mixture implementation before the tables existed;
-#: production and oracle must both keep reproducing it bit for bit.
+#: Captured from the mixture implementation before the tables existed
+#: (rubik, eprons-server) and from the scalar loop before TimeTrader ran
+#: lockstep (timetrader, no-pm = ``MaxFrequencyGovernor``); production
+#: and oracle must both keep reproducing them bit for bit.
 FIG12_POINT_DIGESTS = {
     "rubik": "d9bb4d2221367e686e318ae932298b236e0b9958de2059cbeba3c3b3f94c5919",
     "eprons-server": "11b53f7fce290a3fc9d0e6fb9676f1860b427ebaf075c9fcbea4b20276d98afa",
+    "timetrader": "7bbd9a3ee743d07b294f413ee85afbdcbbeb72facbee2c437743147193975596",
+    "no-pm": "6d9527964cb6ec5e9abc3bbccfd261f29854c9affc91da9e08fbe7970e8fd51c",
 }
 
 
