@@ -9,15 +9,6 @@ point row asserts that result ``==`` the scalar
 Emits a machine-readable ``BENCH_server.json`` with wall times,
 events/s and decisions/s.
 
-It also benchmarks the lockstep engine on a whole constraint grid: one
-pass over ``--grid-points`` constraints versus the same grid as
-one-point lockstep runs, asserting bit-identical results per point.
-The grid row records an honest Amdahl split: ``des_floor_s`` is the
-slowest single-point run — the one full event-stream pass the grid
-pass can never go below — so ``amdahl_max_speedup = per_point_warm /
-des_floor_s`` bounds what any grid fusion could achieve at that
-window.
-
 Run as a module (the repository root on ``sys.path`` and ``src`` on
 ``PYTHONPATH``)::
 
@@ -39,8 +30,6 @@ import json
 import platform
 import time
 
-import numpy as np
-
 from repro.policies import (
     EpronsServerGovernor,
     RubikGovernor,
@@ -54,9 +43,6 @@ from repro.simfast import (
     clear_shared_engines,
     run_multipoint_simulation,
 )
-
-#: The multipoint grid sweeps the fig. 12(b) constraint band.
-GRID_CONSTRAINT_RANGE_MS = (18.0, 40.0)
 
 GOVERNORS = {
     "rubik": RubikGovernor,
@@ -131,110 +117,12 @@ def bench_point(name, utilization, constraint_s, duration_s, n_cores, seed, repe
     }
 
 
-def bench_grid(name, utilization, n_points, duration_s, n_cores, seed, repeats):
-    """The lockstep grid: one multipoint pass vs one-point runs."""
-    service_model = default_service_model()
-    governor_cls = GOVERNORS[name]
-    lo_ms, hi_ms = GRID_CONSTRAINT_RANGE_MS
-    constraints = np.linspace(lo_ms * 1e-3, hi_ms * 1e-3, n_points)
-    configs = [
-        ServerSimConfig(
-            utilization=utilization,
-            latency_constraint_s=float(L),
-            n_cores=n_cores,
-            duration_s=duration_s,
-            warmup_s=min(duration_s / 3.0, 20.0),
-            seed=seed,
-        )
-        for L in constraints
-    ]
-
-    def factory():
-        return governor_cls(service_model, XEON_LADDER)
-
-    points = [
-        MultipointPoint(config=cfg, governor_factory=factory) for cfg in configs
-    ]
-
-    def per_point_pass():
-        timings = []
-        grid = []
-        for cfg in configs:
-            t0 = time.perf_counter()
-            grid.append(_run_point(factory, service_model, cfg)[0])
-            timings.append(time.perf_counter() - t0)
-        return grid, timings
-
-    clear_shared_engines()
-    t0 = time.perf_counter()
-    single, per_point = per_point_pass()
-    single_cold = time.perf_counter() - t0
-    single_warm = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        again, per_point = per_point_pass()
-        single_warm = min(single_warm, time.perf_counter() - t0)
-        if again != single:
-            raise AssertionError(f"{name}/grid: one-point run-to-run mismatch")
-
-    stats: dict = {}
-    clear_shared_engines()
-    t0 = time.perf_counter()
-    fused = run_multipoint_simulation(service_model, points, stats_out=stats)
-    mp_cold = time.perf_counter() - t0
-    mp_warm = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fused_again = run_multipoint_simulation(service_model, points, stats_out=stats)
-        mp_warm = min(mp_warm, time.perf_counter() - t0)
-        if fused_again != fused:
-            raise AssertionError(f"{name}/grid: multipoint run-to-run mismatch")
-    for i, (one, many) in enumerate(zip(single, fused)):
-        if one != many:
-            raise AssertionError(
-                f"{name}/grid point {i}: grid pass diverged from its one-point run"
-            )
-
-    # The lockstep pass must still simulate one full event stream; the
-    # slowest single point is its irreducible floor (Amdahl split).
-    des_floor_s = max(per_point)
-    return {
-        "kind": "multipoint-grid",
-        "governor": name,
-        "utilization": utilization,
-        "n_points": n_points,
-        "constraint_ms_range": [lo_ms, hi_ms],
-        "n_cores": n_cores,
-        "duration_s": duration_s,
-        "per_point": {"cold_s": single_cold, "warm_s": single_warm},
-        "multipoint": {
-            "cold_s": mp_cold,
-            "warm_s": mp_warm,
-            "n_events": stats["n_events"],
-            "n_decisions": stats["n_decisions"],
-            "n_forks": stats["n_forks"],
-            "n_merges": stats["n_merges"],
-            "n_fallback": stats["n_fallback"],
-        },
-        "speedup": {
-            "cold": single_cold / mp_cold,
-            "warm": single_warm / mp_warm,
-        },
-        "des_floor_s": des_floor_s,
-        "amdahl_max_speedup": single_warm / des_floor_s,
-    }
-
-
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--duration", type=float, default=60.0)
     parser.add_argument("--n-cores", type=int, default=2)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--grid-points", type=int, default=32,
-        help="constraint-grid size for the multipoint benchmark",
-    )
     parser.add_argument(
         "--quick", action="store_true",
         help="single short point (CI smoke): eprons-server only",
@@ -244,8 +132,6 @@ def main(argv=None) -> None:
 
     points = DEFAULT_POINTS[1:2] if args.quick else DEFAULT_POINTS
     duration = min(args.duration, 12.0) if args.quick else args.duration
-    grid_points = min(args.grid_points, 8) if args.quick else args.grid_points
-    grid_repeats = 1 if args.quick else max(1, args.repeats - 1)
 
     results = []
     for name, utilization, constraint_s in points:
@@ -259,27 +145,6 @@ def main(argv=None) -> None:
             f"events/s={row['events_per_s_warm']:,.0f} "
             f"decisions/s={row['decisions_per_s_warm']:,.0f}"
         )
-
-    grid = bench_grid(
-        "eprons-server", 0.3, grid_points, duration, args.n_cores, args.seed, grid_repeats,
-    )
-    results.append(grid)
-    print(f"multipoint grid ({grid['n_points']} constraints, {duration:.0f}s windows):")
-    print(
-        f"  per-point  cold={grid['per_point']['cold_s']:.2f}s "
-        f"warm={grid['per_point']['warm_s']:.2f}s"
-    )
-    mp = grid["multipoint"]
-    print(
-        f"  multipoint cold={mp['cold_s']:.2f}s warm={mp['warm_s']:.2f}s "
-        f"(forks={mp['n_forks']}, merges={mp['n_merges']})"
-    )
-    print(
-        f"  speedup    cold={grid['speedup']['cold']:.2f}x "
-        f"warm={grid['speedup']['warm']:.2f}x "
-        f"(Amdahl ceiling {grid['amdahl_max_speedup']:.1f}x, "
-        f"des_floor={grid['des_floor_s']:.2f}s)"
-    )
 
     payload = {
         "benchmark": "bench_server",

@@ -13,8 +13,9 @@ prices that point end to end:
 * **SLA** — the pooled 95th-percentile end-to-end latency against L.
 
 :func:`evaluate_operating_points` prices many points over one
-consolidation in a single lockstep DES pass; the singular form is that
-call on a grid of one.
+consolidation, building the network model and latency sampler once
+and running one server DES per point; the singular form is that call
+on a single point.
 
 The ISNs are statistically identical under the pooled latency mixture,
 so a small number of simulated cores prices every core in the fleet —
@@ -24,6 +25,7 @@ the same scaling argument the paper uses for its Fig. 13/15 results
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..consolidation.base import ConsolidationResult
@@ -64,8 +66,8 @@ class JointSimParams:
     def __post_init__(self) -> None:
         if self.n_servers <= 0 or self.n_cores_per_server <= 0 or self.sim_cores <= 0:
             raise ConfigurationError("server/core counts must be positive")
-        if not 0.0 <= self.warmup_s < self.duration_s:
-            raise ConfigurationError("need 0 <= warmup < duration")
+        if not 0.0 <= self.warmup_s < self.duration_s < math.inf:
+            raise ConfigurationError("need 0 <= warmup < duration, both finite")
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ def evaluate_operating_point(
     ``traffic`` must be the same flow set the consolidation routed —
     link utilizations (and hence network latencies) are computed from
     its actual demands.  This is :func:`evaluate_operating_points` on a
-    grid of one: the server runs on the lockstep engine, or on the
+    single point: the server runs on the lockstep engine, or on the
     scalar simulator when the lockstep engine cannot represent the
     governor (the clairvoyant oracle).
     """
@@ -163,16 +165,13 @@ def evaluate_operating_points(
     """Price many operating points over one consolidated network.
 
     ``points`` is a sequence of ``(constraint_s, utilization,
-    governor_factory, governor_name)`` tuples — the per-point axes of a
-    joint sweep that shares its consolidation (and hence its network
-    latency mixture).  All points run through one lockstep
-    :func:`~repro.simfast.multipoint.run_multipoint_simulation` pass
-    per utilization level, so the DES cost grows with the number of
-    *distinct event orderings*, not the number of points.  Each
-    returned :class:`JointEvaluation` is bit-identical to a scalar
+    governor_factory, governor_name)`` tuples that share one
+    consolidation (and hence one network latency mixture, sampled
+    through one pooled sampler).  Each point runs its own
+    :func:`~repro.simfast.multipoint.run_multipoint_simulation` DES, and
+    each returned :class:`JointEvaluation` is bit-identical to a scalar
     :func:`~repro.sim.runner.run_server_simulation` run of the same
-    point (the multipoint equivalence contract); results are in
-    ``points`` order.
+    point; results are in ``points`` order.
     """
     from ..simfast.multipoint import MultipointPoint, run_multipoint_simulation
 
@@ -189,36 +188,24 @@ def evaluate_operating_points(
     monitor = LatencyMonitor(network)
     sampler = monitor.pooled_sampler(seed_or_rng=params.seed)
 
-    # The lockstep engine requires a shared arrival trace, so points
-    # are grouped by utilization (constraints and governors fork and
-    # re-merge lazily inside the engine; offered load cannot).
-    results: list = [None] * len(points)
-    by_util: dict[float, list[int]] = {}
-    for i, (_, utilization, _, _) in enumerate(points):
-        by_util.setdefault(float(utilization), []).append(i)
-    for utilization, idxs in by_util.items():
-        mp_points = [
-            MultipointPoint(
-                config=ServerSimConfig(
-                    utilization=utilization,
-                    latency_constraint_s=points[i][0],
-                    network_budget_s=workload.network_budget_s,
-                    n_cores=params.sim_cores,
-                    duration_s=params.duration_s,
-                    warmup_s=params.warmup_s,
-                    static_watts=params.static_watts,
-                    seed=params.seed,
-                ),
-                governor_factory=points[i][2],
-                governor_name=points[i][3],
-            )
-            for i in idxs
-        ]
-        servers = run_multipoint_simulation(
-            workload.service_model,
-            mp_points,
-            network_latency_sampler=sampler,
+    mp_points = [
+        MultipointPoint(
+            config=ServerSimConfig(
+                utilization=float(utilization),
+                latency_constraint_s=constraint_s,
+                network_budget_s=workload.network_budget_s,
+                n_cores=params.sim_cores,
+                duration_s=params.duration_s,
+                warmup_s=params.warmup_s,
+                static_watts=params.static_watts,
+                seed=params.seed,
+            ),
+            governor_factory=factory,
+            governor_name=name,
         )
-        for i, server in zip(idxs, servers):
-            results[i] = _price(server, consolidation, params, switch_model, link_model)
-    return results
+        for constraint_s, utilization, factory, name in points
+    ]
+    servers = run_multipoint_simulation(
+        workload.service_model, mp_points, network_latency_sampler=sampler
+    )
+    return [_price(s, consolidation, params, switch_model, link_model) for s in servers]

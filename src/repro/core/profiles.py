@@ -27,6 +27,13 @@ __all__ = ["PowerProfile", "ProfileTable", "DEFAULT_UTIL_GRID"]
 DEFAULT_UTIL_GRID = (0.05, 0.15, 0.3, 0.45, 0.6)
 
 
+def _check_grid(utilizations) -> None:
+    if len(utilizations) < 2:
+        raise ConfigurationError("profile needs at least two grid points")
+    if np.any(np.diff(utilizations) <= 0):
+        raise ConfigurationError("utilization grid must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class PowerProfile:
     """Per-core CPU power and p95 latency vs utilization (one scheme,
@@ -39,10 +46,7 @@ class PowerProfile:
     governor: str
 
     def __post_init__(self) -> None:
-        if len(self.utilizations) < 2:
-            raise ConfigurationError("profile needs at least two grid points")
-        if np.any(np.diff(self.utilizations) <= 0):
-            raise ConfigurationError("utilization grid must be strictly increasing")
+        _check_grid(self.utilizations)
 
     def per_core_power(self, utilization: float) -> float:
         """Interpolated per-core CPU power (W); clamped at grid edges."""
@@ -68,13 +72,15 @@ class PowerProfile:
     ) -> "PowerProfile":
         """Run the DES at each grid utilization and tabulate.
 
-        The grid is evaluated through one
-        :func:`~repro.core.joint.evaluate_operating_points` call — the
-        network model, latency monitor and pooled sampler are built
-        once per profile and every grid point runs on the lockstep
-        multi-point server engine (bit-identical per point to
+        The grid is checked before any DES runs, then evaluated through
+        one :func:`~repro.core.joint.evaluate_operating_points` call —
+        the network model, latency monitor and pooled sampler are built
+        once per profile, and each grid point runs its own server DES
+        (bit-identical to
         :func:`~repro.core.joint.evaluate_operating_point`).
         """
+        utilizations = np.asarray(util_grid, dtype=float)
+        _check_grid(utilizations)
         params = params or JointSimParams()
         powers, tails = [], []
         governor = "governor"
@@ -90,7 +96,7 @@ class PowerProfile:
             tails.append(ev.query_p95_s)
             governor = ev.governor
         return cls(
-            utilizations=np.asarray(util_grid, dtype=float),
+            utilizations=utilizations,
             per_core_watts=np.asarray(powers),
             p95_latency_s=np.asarray(tails),
             latency_constraint_s=workload.latency_constraint_s,

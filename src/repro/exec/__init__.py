@@ -22,21 +22,15 @@ at every ``jobs`` level because task ops are pure functions of their
 spec and outcomes are reassembled in task order.
 """
 
-from .cache import ResultCache, cached_call, code_salt, probe_point
+from .cache import ResultCache, cached_call, code_salt
 from .context import ExecContext, get_context, set_context, use_context
 from .executor import SweepExecutionError, TaskOutcome, run_sweep, sweep_stats
 from .journal import RetryPolicy, RunJournal
-from .registry import (
-    preload_ops,
-    register_batchable,
-    resolve_task_fn,
-    task_fn,
-)
+from .registry import preload_ops, resolve_task_fn, task_fn
 from .orphans import sweep_orphans
-from .tasks import BatchTask, SweepTask, canonical_json, derive_seed, spec_digest
+from .tasks import SweepTask, canonical_json, derive_seed, spec_digest
 
 __all__ = [
-    "BatchTask",
     "ExecContext",
     "ResultCache",
     "RetryPolicy",
@@ -50,8 +44,6 @@ __all__ = [
     "derive_seed",
     "get_context",
     "preload_ops",
-    "probe_point",
-    "register_batchable",
     "resolve_task_fn",
     "run_sweep",
     "set_context",

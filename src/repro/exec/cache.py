@@ -32,7 +32,7 @@ from .context import get_context
 from .registry import resolve_task_fn
 from .tasks import canonical_json
 
-__all__ = ["ResultCache", "cached_call", "code_salt", "probe_point"]
+__all__ = ["ResultCache", "cached_call", "code_salt"]
 
 #: Bump to invalidate every cache entry on cache-format changes.
 _CACHE_FORMAT = 1
@@ -104,27 +104,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-
-def probe_point(cache: ResultCache, fn: str, params: dict) -> dict | None:
-    """Cache probe returning an executor-shaped point payload.
-
-    Batch ops call this per fused member so a point that is already
-    cached under its *scalar* key is served rather than recomputed —
-    the batched path and the scalar path share one cache namespace.
-    Returns ``None`` on a miss.
-    """
-    hit, status, value = cache.lookup(fn, params)
-    if not hit:
-        return None
-    if status == STATUS_INFEASIBLE:
-        return {
-            "status": STATUS_INFEASIBLE,
-            "error": value,
-            "error_type": "InfeasibleError",
-            "cached": True,
-        }
-    return {"status": STATUS_OK, "value": value, "cached": True}
 
 
 def cached_call(fn: str, cache: ResultCache | None = None, **params):

@@ -32,23 +32,10 @@ The executor is self-healing on three axes, all off by default:
   ``resume=True`` serves journaled terminal outcomes without re-running
   them, so a sweep killed at task 173 of 200 restarts at 174.
 
-Two dispatch optimizations are value-transparent:
-
-* **pool-initializer hoisting** — workers set up their ambient
-  context, cache handle and op registry **once** per process (not per
-  task).  Each worker builds its own compiled topology indexes and VP
-  tables on first use and keeps them warm for every later task.
-* **batch fusion** — cache-missing tasks of a batchable op
-  (:func:`~repro.exec.registry.register_batchable`) that agree on
-  their shared params are dispatched as one fused batch call, which
-  hoists the shared work (consolidation solve, traffic build) out of
-  the per-point loop.  Outcomes are scattered back to the original
-  indices; the cache records per-point entries and the journal per-
-  point digests, so warm runs and ``--resume`` are indistinguishable
-  from scalar dispatch.  A fused ``joint-eval`` group runs its server
-  DES in lockstep (:func:`~repro.exec.ops.joint_eval_batch_op`); a
-  single task runs the one-point engine.  A fused unit that fails
-  wholesale is retried member-by-member as scalars.
+Pool-initializer hoisting is value-transparent: workers set up their
+ambient context, cache handle and op registry **once** per process
+(not per task).  Each worker builds its own compiled topology indexes
+and VP tables on first use and keeps them warm for every later task.
 
 Results are memoized through :mod:`repro.exec.cache`; fully warm sweeps
 never spin up a process pool at all.
@@ -69,8 +56,8 @@ from ..errors import InfeasibleError, SimulationError
 from .cache import STATUS_INFEASIBLE, STATUS_OK, ResultCache
 from .context import ExecContext, get_context, set_context, use_context
 from .journal import RetryPolicy, RunJournal
-from .registry import batchable_for, op_is_cached, preload_ops, resolve_task_fn
-from .tasks import BatchTask, SweepTask
+from .registry import preload_ops, resolve_task_fn
+from .tasks import SweepTask
 
 __all__ = ["TaskOutcome", "SweepExecutionError", "run_sweep", "sweep_stats"]
 
@@ -170,14 +157,12 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
     else:
         ctx = get_context()
         cache = ResultCache(ctx.resolved_cache_dir(), enabled=ctx.cache)
-    cacheable = op_is_cached(task.fn)
     start = perf_counter()
     try:
         fn = resolve_task_fn(task.fn)
         value = fn(**task.kwargs)
     except InfeasibleError as err:
-        if cacheable:
-            cache.store(task.fn, task.kwargs, STATUS_INFEASIBLE, str(err))
+        cache.store(task.fn, task.kwargs, STATUS_INFEASIBLE, str(err))
         return TaskOutcome(
             task=task,
             status="infeasible",
@@ -194,142 +179,10 @@ def _execute_task(task: SweepTask) -> TaskOutcome:
             tb=traceback.format_exc(),
             duration_s=perf_counter() - start,
         )
-    if cacheable:
-        cache.store(task.fn, task.kwargs, STATUS_OK, value)
+    cache.store(task.fn, task.kwargs, STATUS_OK, value)
     return TaskOutcome(
         task=task, status="ok", value=value, duration_s=perf_counter() - start
     )
-
-
-# -- batch fusion ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _DispatchUnit:
-    """One pool submission: a scalar task, or a fused batch."""
-
-    wire: SweepTask
-    members: tuple[int, ...]
-    batch: BatchTask | None = None
-
-    @property
-    def fused(self) -> bool:
-        return self.batch is not None
-
-
-def _fuse_round(
-    tasks: list[SweepTask], indices: list[int], descoped: set[int]
-) -> list[_DispatchUnit]:
-    """Group pending indices into dispatch units.
-
-    Tasks of a batchable op that (a) carry exactly the declared param
-    set and (b) agree on every shared param are fused into one unit;
-    everything else — unknown shape, singleton groups, members that
-    already failed a fused attempt (``descoped``) — dispatches scalar.
-    Unit order follows first-member order, and members keep task order
-    within a unit, so journals and outcomes are reproducible.
-    """
-    from .tasks import canonical_json
-
-    # Batchable specs register when their op module is imported; a
-    # driver that never imported it must still fuse.
-    preload_ops()
-    units: list[_DispatchUnit] = []
-    groups: dict[tuple[str, str], list[int]] = {}
-    group_order: list[tuple[str, str]] = []
-    for i in indices:
-        task = tasks[i]
-        spec = batchable_for(task.fn)
-        kw = task.kwargs
-        if i in descoped or spec is None or set(kw) != spec.all_params:
-            units.append(_DispatchUnit(wire=task, members=(i,)))
-            continue
-        gkey = (
-            spec.batch_fn,
-            canonical_json({k: kw[k] for k in spec.shared}),
-        )
-        if gkey not in groups:
-            groups[gkey] = []
-            group_order.append(gkey)
-        groups[gkey].append(i)
-    for gkey in group_order:
-        members = groups[gkey]
-        if len(members) == 1:
-            units.append(_DispatchUnit(wire=tasks[members[0]], members=(members[0],)))
-            continue
-        spec = batchable_for(tasks[members[0]].fn)
-        batch = BatchTask.fuse(gkey[0], spec.shared, tasks, tuple(members))
-        units.append(_DispatchUnit(wire=batch.to_sweep_task(), members=batch.members, batch=batch))
-    return units
-
-
-_POINT_DEFAULTS = {
-    "value": None,
-    "error": "",
-    "error_type": "",
-    "tb": "",
-    "duration_s": 0.0,
-    "cached": False,
-}
-
-
-def _check_batch_payload(unit: _DispatchUnit, out: TaskOutcome) -> TaskOutcome:
-    """Demote a fused outcome whose payload violates the batch contract
-    (not a list, wrong length) to a wholesale error — the members are
-    then descoped and retried as scalars like any poisoned group."""
-    if not out.ok:
-        return out
-    payloads = out.value
-    if not isinstance(payloads, (list, tuple)) or len(payloads) != len(unit.members):
-        return replace(
-            out,
-            status="error",
-            value=None,
-            error=(
-                f"batch op {unit.wire.fn!r} returned "
-                f"{type(payloads).__name__} instead of "
-                f"{len(unit.members)} point payloads"
-            ),
-            error_type="SweepExecutionError",
-        )
-    return out
-
-
-def _scatter_unit(
-    unit: _DispatchUnit, tasks: list[SweepTask], out: TaskOutcome
-) -> dict[int, TaskOutcome]:
-    """Map one unit's outcome back to per-task outcomes."""
-    if not unit.fused:
-        return {unit.members[0]: out}
-    payloads = out.value if out.ok else None
-    if payloads is None:
-        # Wholesale failure (crash, timeout, broken pool): every member
-        # inherits the unit's failure and will retry as a scalar.
-        return {
-            i: TaskOutcome(
-                task=tasks[i],
-                status=out.status,
-                error=out.error,
-                error_type=out.error_type,
-                tb=out.tb,
-                duration_s=out.duration_s / len(unit.members),
-            )
-            for i in unit.members
-        }
-    results: dict[int, TaskOutcome] = {}
-    for position, i in enumerate(unit.members):
-        payload = {**_POINT_DEFAULTS, **payloads[position]}
-        results[i] = TaskOutcome(
-            task=tasks[i],
-            status=payload["status"],
-            value=payload["value"],
-            error=payload["error"],
-            error_type=payload["error_type"],
-            tb=payload["tb"],
-            duration_s=payload["duration_s"],
-            cached=payload["cached"],
-        )
-    return results
 
 
 # -- rounds ------------------------------------------------------------------------
@@ -337,46 +190,38 @@ def _scatter_unit(
 
 def _run_round(
     tasks: list[SweepTask],
-    units: list[_DispatchUnit],
+    indices: list[int],
     ctx: ExecContext,
     timeout_s: float | None,
-) -> tuple[dict[int, TaskOutcome], set[int]]:
-    """Dispatch one attempt at every unit; never raises.
+) -> dict[int, TaskOutcome]:
+    """Dispatch one attempt at every pending task; never raises.
 
-    Returns per-index outcomes plus the set of indices whose *fused*
-    unit failed wholesale (candidates for scalar descoping on retry).
     The wall-clock budget is enforced at collection: the parent waits
-    at most ``timeout_s`` per scalar task (× members for a fused unit)
-    for each future in submission order, and the first timeout tears
-    the whole pool down — a hung worker wedges every task queued behind
-    it, so the casualties come back as retryable ``error``/``timeout``
-    outcomes rather than blocking the sweep.  Serial runs cannot
-    preempt themselves; the budget is ignored there.
+    at most ``timeout_s`` for each future in submission order, and the
+    first timeout tears the whole pool down — a hung worker wedges every
+    task queued behind it, so the casualties come back as retryable
+    ``error``/``timeout`` outcomes rather than blocking the sweep.
+    Serial runs cannot preempt themselves; the budget is ignored there.
     """
     results: dict[int, TaskOutcome] = {}
-    fused_failed: set[int] = set()
-    n_tasks = sum(len(u.members) for u in units)
-    if ctx.jobs > 1 and n_tasks > 1:
+    if ctx.jobs > 1 and len(indices) > 1:
         pool = ProcessPoolExecutor(
-            max_workers=min(ctx.jobs, len(units)),
+            max_workers=min(ctx.jobs, len(indices)),
             initializer=_worker_init,
             initargs=(_worker_context(ctx),),
         )
         try:
-            futures = [
-                (unit, pool.submit(_execute_task, unit.wire)) for unit in units
-            ]
-            for unit, future in futures:
-                budget = None if timeout_s is None else timeout_s * len(unit.members)
+            futures = [(i, pool.submit(_execute_task, tasks[i])) for i in indices]
+            for i, future in futures:
                 try:
-                    out = future.result(timeout=budget)
+                    out = future.result(timeout=timeout_s)
                 except FuturesTimeoutError:
                     out = TaskOutcome(
-                        task=unit.wire,
+                        task=tasks[i],
                         status="timeout",
-                        error=f"exceeded the {budget}s wall-clock budget",
+                        error=f"exceeded the {timeout_s}s wall-clock budget",
                         error_type="TimeoutError",
-                        duration_s=float(budget),
+                        duration_s=float(timeout_s),
                     )
                     for proc in list(pool._processes.values()):
                         proc.terminate()
@@ -388,28 +233,19 @@ def _run_round(
                     # entries or let one dead worker raise past a
                     # 200-point run.
                     out = TaskOutcome(
-                        task=unit.wire,
+                        task=tasks[i],
                         status="error",
                         error=str(err) or "process pool terminated abruptly",
                         error_type="BrokenProcessPool",
                     )
-                if unit.fused:
-                    out = _check_batch_payload(unit, out)
-                    if not out.ok:
-                        fused_failed.update(unit.members)
-                results.update(_scatter_unit(unit, tasks, out))
+                results[i] = out
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
     else:
         with use_context(_worker_context(ctx)):
-            for unit in units:
-                out = _execute_task(unit.wire)
-                if unit.fused:
-                    out = _check_batch_payload(unit, out)
-                    if not out.ok:
-                        fused_failed.update(unit.members)
-                results.update(_scatter_unit(unit, tasks, out))
-    return results, fused_failed
+            for i in indices:
+                results[i] = _execute_task(tasks[i])
+    return results
 
 
 def run_sweep(
@@ -429,10 +265,6 @@ def run_sweep(
     them.  ``policy`` bounds per-task retries and wall-clock budgets
     (the default :class:`~repro.exec.journal.RetryPolicy` reproduces the
     historical single-shot behaviour exactly).
-
-    Misses of batchable ops are fused into vectorized batch calls (see
-    module docstring); cache entries, journal records and outcomes stay
-    per-point, so this is invisible to everything downstream.
     """
     ctx = ctx or get_context()
     if policy is None:
@@ -490,22 +322,14 @@ def run_sweep(
                 _journal_record(journal, outcomes[i])
 
         pending = misses
-        descoped: set[int] = set()
         attempt = 0
         while pending:
-            units = _fuse_round(tasks, pending, descoped)
-            round_results, fused_failed = _run_round(
-                tasks, units, ctx, policy.timeout_s
-            )
+            round_results = _run_round(tasks, pending, ctx, policy.timeout_s)
             next_pending: list[int] = []
             for i in pending:
                 out = round_results[i]
                 if policy.retryable(out.status) and attempt < policy.max_retries:
                     next_pending.append(i)
-                    if i in fused_failed:
-                        # A poisoned group proves nothing about its
-                        # members — retry them individually.
-                        descoped.add(i)
                     continue
                 out = replace(out, retries=attempt)
                 outcomes[i] = out

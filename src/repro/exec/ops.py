@@ -15,11 +15,11 @@ Governors are named, not passed as callables (closures don't pickle);
 :func:`governor_factory` is the one place the name → policy mapping
 lives.
 
-Every server point runs through the lockstep multi-point engine: a
-single point (``server-sim``, ``joint-eval``) as a grid of one, a fused
-``joint-eval-batch`` group in one pass, TimeTrader included.  Points it
-cannot represent (the clairvoyant oracle, sleep models) fall back to
-the scalar simulator inside it.  No op takes an engine argument.
+Every server point runs through the lockstep engine, one point per
+call (``server-sim``, ``joint-eval``) or per profile grid point
+(``diurnal-profile``), TimeTrader included.  Points it cannot
+represent (the clairvoyant oracle, sleep models) fall back to the
+scalar simulator inside it.  No op takes an engine argument.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from ..core.joint import (
     JointEvaluation,
     JointSimParams,
     evaluate_operating_point,
-    evaluate_operating_points,
 )
 from ..errors import ConfigurationError, InfeasibleError
 from ..faults import FaultInjector, FaultSchedule
@@ -51,7 +50,7 @@ from ..topology.aggregation import aggregation_policy
 from ..topology.fattree import FatTree
 from ..workloads.search import SearchWorkload
 from .cache import cached_call
-from .registry import register_batchable, task_fn
+from .registry import task_fn
 
 __all__ = [
     "governor_factory",
@@ -63,7 +62,6 @@ __all__ = [
     "ADAPTIVE_POLICIES",
     "server_sim_op",
     "joint_eval_op",
-    "joint_eval_batch_op",
     "network_latency_summary_op",
     "diurnal_profile_op",
     "GOVERNOR_NAMES",
@@ -481,7 +479,7 @@ def server_sim_op(
     power-managed here" setup; the underlying consolidation solve is
     itself cache-shared with every other figure at the same traffic.
 
-    The point runs as a one-point lockstep grid; a ``sleep`` model or
+    The point runs on the lockstep engine; a ``sleep`` model or
     the clairvoyant oracle sends it to the scalar simulator instead.
     VP governors fetch their tables from the process-wide
     :func:`repro.simfast.shared_table_engine` registry, so every
@@ -556,171 +554,6 @@ def joint_eval_op(
         governor_factory(governor, workload),
         params=params,
     )
-
-
-#: The params a fused joint-eval group must share (they determine the
-#: hoisted work: the consolidation solve and the traffic build) vs the
-#: ones that vary per point.
-_JOINT_SHARED = ("arity", "background", "level", "params", "traffic_seed")
-_JOINT_POINT = ("constraint_ms", "governor", "utilization")
-
-
-@task_fn("joint-eval-batch", cache=False)
-def joint_eval_batch_op(
-    *,
-    arity: int,
-    background: float,
-    level: int,
-    params: JointSimParams,
-    traffic_seed: int,
-    points: tuple,
-) -> list[dict]:
-    """Vectorized joint evaluation: one fused pass over a (constraint,
-    governor, utilization) grid that shares its consolidation + traffic.
-
-    Each ``points`` entry is a ``((name, value), ...)`` tuple over
-    ``constraint_ms`` / ``governor`` / ``utilization``.  The scalar
-    :func:`joint_eval_op` solves the identical consolidation and builds
-    the identical traffic *per point*; here they are hoisted and solved
-    once for the whole grid — the latency constraint affects neither
-    (``SearchWorkload.traffic`` ignores it, and ``with_constraint`` is
-    a field replace on the same topology/service model).  The pending
-    points then run through one lockstep
-    :func:`~repro.core.joint.evaluate_operating_points` call, so every
-    point value is bit-identical to its scalar twin.  Should that call
-    raise, each point is re-run on its own, so one bad point does not
-    poison its siblings.
-
-    Returns one executor payload dict per point, aligned with
-    ``points``.  Cache entries are written under each point's *scalar*
-    ``joint-eval`` key (this op itself is registered ``cache=False``),
-    so warm scalar runs, journals and ``--resume`` see no difference.
-    """
-    from time import perf_counter
-
-    from .cache import (
-        STATUS_INFEASIBLE,
-        STATUS_OK,
-        ResultCache,
-        probe_point,
-    )
-    from .context import get_context
-
-    ctx = get_context()
-    cache = ResultCache(ctx.resolved_cache_dir(), enabled=ctx.cache)
-    shared = dict(
-        arity=arity, background=background, level=level,
-        params=params, traffic_seed=traffic_seed,
-    )
-    specs = [{**shared, **dict(point)} for point in points]
-    payloads: list[dict | None] = [None] * len(points)
-    todo: list[int] = []
-    for i, spec in enumerate(specs):
-        payloads[i] = probe_point(cache, "joint-eval", spec)
-        if payloads[i] is None:
-            todo.append(i)
-    if not todo:
-        return payloads
-
-    start = perf_counter()
-    try:
-        consolidation = _cached_consolidation(
-            arity=arity, scheme="aggregation", level=level,
-            background=background, traffic_seed=traffic_seed,
-        )
-    except InfeasibleError as err:
-        # The whole group shares this solve: every pending point is the
-        # same legitimate "cannot support" answer the scalar op gives,
-        # and each is charged its share of the solve time.
-        amortized = (perf_counter() - start) / len(todo)
-        for i in todo:
-            cache.store("joint-eval", specs[i], STATUS_INFEASIBLE, str(err))
-            payloads[i] = {
-                "status": STATUS_INFEASIBLE,
-                "error": str(err),
-                "error_type": type(err).__name__,
-                "duration_s": amortized,
-            }
-        return payloads
-
-    base = workload_for(arity)
-    traffic = base.traffic(background, seed_or_rng=traffic_seed)
-
-    # Lockstep path: every pending point in one multi-point DES call
-    # (it groups them by utilization; bit-identical per point — the
-    # engine's equivalence contract).  If it raises, the scalar loop
-    # below re-runs each point on its own and sorts the failures into
-    # infeasible and error payloads.
-    start = perf_counter()
-    try:
-        group = []
-        for i in todo:
-            wl = base.with_constraint(specs[i]["constraint_ms"] * 1e-3)
-            group.append(
-                (
-                    wl.latency_constraint_s,
-                    specs[i]["utilization"],
-                    governor_factory(specs[i]["governor"], wl),
-                    None,
-                )
-            )
-        evals = evaluate_operating_points(
-            base, traffic, consolidation, group, params=params
-        )
-    except Exception:  # noqa: BLE001 — the scalar loop classifies it
-        pass
-    else:
-        amortized = (perf_counter() - start) / len(todo)
-        for i, value in zip(todo, evals):
-            cache.store("joint-eval", specs[i], STATUS_OK, value)
-            payloads[i] = {"status": STATUS_OK, "value": value, "duration_s": amortized}
-        return payloads
-
-    for i in todo:
-        spec = specs[i]
-        start = perf_counter()
-        try:
-            workload = base.with_constraint(spec["constraint_ms"] * 1e-3)
-            value = evaluate_operating_point(
-                workload,
-                traffic,
-                consolidation,
-                spec["utilization"],
-                governor_factory(spec["governor"], workload),
-                params=params,
-            )
-        except InfeasibleError as err:
-            cache.store("joint-eval", spec, STATUS_INFEASIBLE, str(err))
-            payloads[i] = {
-                "status": STATUS_INFEASIBLE,
-                "error": str(err),
-                "error_type": type(err).__name__,
-                "duration_s": perf_counter() - start,
-            }
-        except Exception as err:  # noqa: BLE001 — one bad point must not
-            # poison its batch siblings; the executor retries it scalar.
-            import traceback
-
-            payloads[i] = {
-                "status": "error",
-                "error": str(err),
-                "error_type": type(err).__name__,
-                "tb": traceback.format_exc(),
-                "duration_s": perf_counter() - start,
-            }
-        else:
-            cache.store("joint-eval", spec, STATUS_OK, value)
-            payloads[i] = {
-                "status": STATUS_OK,
-                "value": value,
-                "duration_s": perf_counter() - start,
-            }
-    return payloads
-
-
-register_batchable(
-    "joint-eval", "joint-eval-batch", shared=_JOINT_SHARED, point=_JOINT_POINT
-)
 
 
 # -- network latency summaries -----------------------------------------------------

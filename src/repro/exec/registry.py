@@ -7,24 +7,12 @@ if a key is unknown, the standard op modules are imported (which
 registers them) before failing.  Pool workers call :func:`preload_ops`
 once from their initializer instead, so per-task resolution is a plain
 dict lookup.
-
-Two side registries ride along:
-
-* ``cache=False`` ops (fused batch dispatchers) are excluded from
-  whole-result memoization — they cache per *member* point themselves,
-  and storing the fused envelope too would duplicate every byte;
-* :func:`register_batchable` declares that a scalar op has a fused
-  twin: tasks sharing the declared ``shared`` params can be dispatched
-  as one batch call over their remaining ("point") params.  The
-  executor consults this to fuse cache-miss runs; see
-  :func:`~repro.exec.executor.run_sweep`.
 """
 
 from __future__ import annotations
 
 import importlib
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 
@@ -32,17 +20,11 @@ __all__ = [
     "task_fn",
     "resolve_task_fn",
     "preload_ops",
-    "register_batchable",
-    "batchable_for",
-    "op_is_cached",
     "TASK_FUNCTIONS",
 ]
 
 #: registry key -> callable(**params) -> picklable result.
 TASK_FUNCTIONS: dict[str, Callable] = {}
-
-#: Keys whose whole-call results must NOT be memoized by the executor.
-_UNCACHED: set[str] = set()
 
 #: Modules imported on a failed lookup to populate the registry.
 _OP_MODULES = ("repro.exec.ops",)
@@ -54,61 +36,17 @@ PRELOAD_PASSES = 0
 _PRELOADED = False
 
 
-@dataclass(frozen=True)
-class BatchableSpec:
-    """How a scalar op fuses: the batch op key, the params every fused
-    member must share, and the per-member point params."""
-
-    batch_fn: str
-    shared: tuple[str, ...]
-    point: tuple[str, ...]
-
-    @property
-    def all_params(self) -> frozenset[str]:
-        return frozenset(self.shared) | frozenset(self.point)
-
-
-#: scalar op key -> its fused dispatch spec.
-_BATCHABLE: dict[str, BatchableSpec] = {}
-
-
-def task_fn(key: str, cache: bool = True):
-    """Decorator: register a module-level function as a task op.
-
-    ``cache=False`` marks ops whose results the executor must not
-    memoize wholesale (batch dispatchers that cache per-point).
-    """
+def task_fn(key: str):
+    """Decorator: register a module-level function as a task op."""
 
     def wrap(fn):
         existing = TASK_FUNCTIONS.get(key)
         if existing is not None and existing is not fn:
             raise ConfigurationError(f"task function {key!r} registered twice")
         TASK_FUNCTIONS[key] = fn
-        if not cache:
-            _UNCACHED.add(key)
         return fn
 
     return wrap
-
-
-def register_batchable(
-    scalar_fn: str, batch_fn: str, shared: tuple[str, ...], point: tuple[str, ...]
-) -> None:
-    """Declare ``batch_fn`` as the fused twin of ``scalar_fn``."""
-    spec = BatchableSpec(batch_fn=batch_fn, shared=tuple(shared), point=tuple(point))
-    existing = _BATCHABLE.get(scalar_fn)
-    if existing is not None and existing != spec:
-        raise ConfigurationError(f"batchable spec for {scalar_fn!r} registered twice")
-    _BATCHABLE[scalar_fn] = spec
-
-
-def batchable_for(scalar_fn: str) -> BatchableSpec | None:
-    """The fused-dispatch spec of a scalar op, if one is registered."""
-    return _BATCHABLE.get(scalar_fn)
-
-
-def op_is_cached(key: str) -> bool:
-    return key not in _UNCACHED
 
 
 def preload_ops() -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = ["SweepTask", "BatchTask", "canonical_json", "spec_digest", "derive_seed"]
+__all__ = ["SweepTask", "canonical_json", "spec_digest", "derive_seed"]
 
 
 def _canonical(obj):
@@ -116,63 +116,3 @@ class SweepTask:
         head = ", ".join(f"{k}={v!r}" for k, v in self.params[:4])
         more = ", ..." if len(self.params) > 4 else ""
         return f"SweepTask({self.fn}: {head}{more})"
-
-
-@dataclass(frozen=True)
-class BatchTask:
-    """A fused dispatch unit: one batch-op call covering many scalar
-    tasks that share their expensive inputs.
-
-    ``shared`` holds the params every member has in common (the batch
-    op hoists the work they determine — a consolidation solve, a
-    traffic build — out of the per-point loop); ``points`` holds each
-    member's remaining params, **in member order**.  The batch op
-    receives ``(**shared, points=points)`` and must return one payload
-    dict per point, aligned with ``points`` — which is what lets the
-    executor scatter results back to the original task indices, keep
-    per-point cache/journal entries, and stay bit-identical to scalar
-    dispatch.
-
-    ``members`` carries the indices of the fused tasks in the
-    originating task list; like ``SweepTask.tag`` it is bookkeeping,
-    not identity — the wire form (:meth:`to_sweep_task`) excludes it.
-    """
-
-    fn: str
-    shared: tuple[tuple[str, object], ...]
-    points: tuple[tuple[tuple[str, object], ...], ...]
-    members: tuple[int, ...] = ()
-
-    @classmethod
-    def fuse(
-        cls,
-        fn: str,
-        shared_names: tuple[str, ...],
-        tasks: list,
-        members: tuple[int, ...],
-    ) -> "BatchTask":
-        """Fuse ``tasks[i] for i in members`` (all sharing the values of
-        ``shared_names``) into one batch unit."""
-        first = dict(tasks[members[0]].params)
-        shared = tuple(sorted((k, first[k]) for k in shared_names))
-        shared_set = frozenset(shared_names)
-        points = tuple(
-            tuple(kv for kv in tasks[i].params if kv[0] not in shared_set)
-            for i in members
-        )
-        return cls(fn=fn, shared=shared, points=points, members=members)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.points)
-
-    def member_kwargs(self, position: int) -> dict:
-        """The full scalar kwargs of one fused member (shared + point)."""
-        kw = dict(self.shared)
-        kw.update(self.points[position])
-        return kw
-
-    def to_sweep_task(self) -> SweepTask:
-        """The picklable wire form the executor actually dispatches."""
-        params = tuple(sorted((*self.shared, ("points", self.points))))
-        return SweepTask(fn=self.fn, params=params)

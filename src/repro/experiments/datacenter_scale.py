@@ -30,9 +30,8 @@ def build_tasks(
     duration_s: float = 8.0,
     seed: int = 1,
 ) -> list[SweepTask]:
-    """The datacenter-scale sweep grid as tasks; each fused (arity,
-    level) group runs its server DES as one lockstep pass
-    (bit-identical per point)."""
+    """The datacenter-scale sweep grid as tasks, one ``joint-eval``
+    task (and one server DES) per (arity, scheme) point."""
     tasks = []
     for k in arities:
         ft = FatTree(k)

@@ -41,11 +41,11 @@ def build_tasks(
     include_no_pm: bool = True,
     seed: int = 1,
 ) -> list[SweepTask]:
-    """The fig13 sweep grid as tasks.
+    """The fig13 sweep grid as tasks, one ``joint-eval`` task per
+    (background, constraint, scheme) point.
 
-    The executor fuses the tasks of one (background, level) group, and
-    the fused group prices all its constraint points in one lockstep
-    server-DES pass, bit-identical to per-point runs.
+    Each task runs its own server DES; the points of one (background,
+    level) share their consolidation solve through the result cache.
     """
     params = params or JointSimParams(sim_cores=2, duration_s=15.0, warmup_s=3.0)
 

@@ -17,7 +17,8 @@ the whole queue at all ladder frequencies at once.  Under the scalar
 simulator a VP governor decides from the core's
 :class:`QueueSnapshot`; the lockstep engine
 (:func:`repro.simfast.run_multipoint_simulation`), which prices every
-point it can represent, reads the same tables directly.  The original
+point it can represent, asks the same tables directly through
+:meth:`~repro.simfast.tables.VPTableEngine.decide_point`.  The original
 per-request mixture evaluation they replace lives on as a test oracle
 (``tests/oracles/server.py``); ``tests/test_simfast_equivalence.py``
 holds the two to identical frequencies.

@@ -20,7 +20,7 @@ This event loop prices the points the lockstep engine
 (:func:`repro.simfast.run_multipoint_simulation`) cannot represent:
 the clairvoyant oracle, sleep models (TimeTrader with one included)
 and JSQ dispatch.  Its timer and ``on_complete`` wiring is also the
-oracle the lockstep engine's TimeTrader kind is held to, and the
+oracle the lockstep engine's TimeTrader path is held to, and the
 oracle tests drive it too.
 """
 

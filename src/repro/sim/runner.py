@@ -18,6 +18,7 @@ Deadline wiring (Section IV-A / V-B2):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +71,17 @@ class ServerSimConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.utilization < 1.0:
             raise ConfigurationError(f"utilization {self.utilization} outside (0, 1)")
-        if self.latency_constraint_s <= 0:
-            raise ConfigurationError("latency constraint must be positive")
+        if not 0.0 < self.latency_constraint_s < math.inf:
+            raise ConfigurationError(
+                f"latency constraint must be positive and finite, got {self.latency_constraint_s}"
+            )
         if not 0.0 <= self.network_budget_s < self.latency_constraint_s:
             raise ConfigurationError("network budget must lie in [0, L)")
-        if self.duration_s <= 0 or self.warmup_s < 0 or self.warmup_s >= self.duration_s:
-            raise ConfigurationError("need 0 <= warmup < duration")
+        if not 0.0 <= self.warmup_s < self.duration_s < math.inf:
+            raise ConfigurationError(
+                f"need 0 <= warmup < duration, both finite; got warmup {self.warmup_s}, "
+                f"duration {self.duration_s}"
+            )
         if self.n_cores < 1:
             raise ConfigurationError(f"n_cores must be positive, got {self.n_cores}")
         if self.dispatch not in DISPATCH_POLICIES:
@@ -133,12 +139,12 @@ def run_server_simulation(
 
     This is the scalar event loop.  Production reaches it only through
     :func:`repro.simfast.multipoint.run_multipoint_simulation`, which
-    prices every point it can represent in lockstep (bit-identical per
-    point, TimeTrader included) and falls back here for the
+    prices every point it can represent on its one-point per-core loop
+    (bit-identical, TimeTrader included) and falls back here for the
     clairvoyant oracle, sleep models and JSQ dispatch.  VP governors
     decide from queue snapshots on their tabulated :mod:`repro.simfast`
     engine.  The oracle tests drive this loop directly, and its timer
-    path is the oracle for the lockstep TimeTrader kind.
+    path is the oracle for the lockstep TimeTrader path.
 
     ``stats_out``, when given a dict, receives run instrumentation
     (``n_events`` processed by the event loop, ``n_decisions`` made by

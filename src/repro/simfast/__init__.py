@@ -9,13 +9,13 @@ joint sweep — into table lookups:
   gather over the whole queue at *all* ladder frequencies at once;
 * :func:`shared_table_engine` shares the tables process-wide so warm
   sweep workers never rebuild them;
-* :func:`run_multipoint_simulation` advances any number of points that
-  share a workload trace in lockstep, bit-identical per point to the
-  scalar simulator.
+* :func:`run_multipoint_simulation`, the lockstep engine, runs each
+  point it is given through one per-core event loop over plain Python
+  floats, bit-identical per point to the scalar simulator.
 
-Every point the lockstep engine can represent runs on it, a single
-point as a grid of one; that includes TimeTrader, whose 5 s timer and
-completion window run as a feedback group kind.  The scalar loop
+Every point the lockstep engine can represent runs on it; that
+includes TimeTrader, whose 5 s timer and completion window live in the
+per-core loop.  The scalar loop
 (:func:`repro.sim.runner.run_server_simulation`) keeps the clairvoyant
 oracle, sleep models and JSQ dispatch, and decides VP governors there
 from queue snapshots.  The per-request mixture

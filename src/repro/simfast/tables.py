@@ -162,10 +162,6 @@ class VPTableEngine:
         self.frequencies = tuple(float(f) for f in ladder)
         self.speeds = np.array([fm.speed_factor(f) for f in self.frequencies])
         self.n_freqs = len(self.frequencies)
-        # Hot-path caches for decide_batch: the ladder as an ndarray
-        # and fold-row index vectors keyed by queue length.
-        self._freq_array = np.array(self.frequencies)
-        self._arange_cache: dict[int, np.ndarray] = {}
         self._speed_list = [float(s) for s in self.speeds]
         # decide_point's rung order: top rung first (fallback gate),
         # then bottom-up to the first satisfying rung.
@@ -360,65 +356,6 @@ class VPTableEngine:
             elif acc <= target_vp:
                 return freqs[fi]
         return freqs[-1]
-
-    def decide_batch(
-        self,
-        deltas: np.ndarray,
-        offset: int | None,
-        mode: str,
-        target_vp: float,
-    ) -> np.ndarray:
-        """Vectorized :meth:`decide` over a lockstep point group.
-
-        ``deltas`` is ``(P, n)``: one row of ``deadline - now`` values
-        per grid point, all sharing queue composition (and head offset
-        when ``offset`` is not ``None``).  Returns the chosen frequency
-        per point with the ``None -> f_max`` fallback already applied —
-        the shape the multipoint engine partitions groups on.  Every
-        per-element float op matches :meth:`decide` (the reductions run
-        over the same-length axis in the same sequential order), so row
-        ``p`` equals ``decide(deltas[p], ...)`` bit for bit.
-        """
-        n_points, n = deltas.shape
-        if n == 0:
-            raise ConfigurationError("decide_batch() needs at least one request")
-        arange = self._arange_cache.get(n)
-        if arange is None:
-            arange = self._arange_cache[n] = np.arange(n + 1)
-        if offset is None:
-            k_max = n
-            rows = arange[1:]
-        else:
-            k_max = n - 1
-            rows = arange[:n]
-        stack = self.stack(offset, k_max)
-        # Same per-element float ops as :meth:`decide`, fused in place:
-        # budget = (delta / speed) / dx + 1e-9, floored and clipped.
-        budgets = deltas[:, :, None] / self.speeds[None, None, :]
-        budgets /= self.dx
-        budgets += 1e-9
-        np.floor(budgets, out=budgets)
-        m = budgets.astype(np.int64)
-        np.minimum(m, stack.width - 2, out=m)
-        np.maximum(m, -1, out=m)
-        m += 1
-        vp = stack.tables[rows[None, :, None], m]
-        if offset is not None:
-            negative = deltas[:, 0] < 0.0
-            if negative.any():
-                vp[negative, 0, :] = 1.0
-        # ndarray.max/.mean delegate to these reductions (mean divides
-        # the pairwise sum by the count), so the bits match decide().
-        if mode == "max":
-            metric = np.maximum.reduce(vp, axis=1)
-        else:
-            metric = np.add.reduce(vp, axis=1)
-            metric /= n
-        satisfied = metric <= target_vp
-        freqs = self._freq_array
-        chosen = freqs[np.argmax(satisfied, axis=1)]
-        chosen[~satisfied[:, -1]] = freqs[-1]
-        return chosen
 
 
 # -- process-level sharing ------------------------------------------------------

@@ -40,6 +40,12 @@ class TestJointSimParams:
         with pytest.raises(ConfigurationError):
             JointSimParams(warmup_s=10.0, duration_s=5.0)
 
+    def test_infinite_duration_rejected(self):
+        """An endless run would never finish its DES; only the params
+        are built here."""
+        with pytest.raises(ConfigurationError):
+            JointSimParams(duration_s=float("inf"))
+
 
 class TestEvaluateOperatingPoint:
     def test_breakdown_consistency(self, workload, light_setup):
@@ -168,6 +174,27 @@ class TestPowerProfile:
                 p95_latency_s=np.array([0.01]),
                 latency_constraint_s=0.03,
                 governor="x",
+            )
+
+    @pytest.mark.parametrize("grid", [(0.3,), (0.3, 0.3), (0.45, 0.3)])
+    def test_bad_grid_rejected_before_any_des(self, workload, light_setup, monkeypatch, grid):
+        import repro.sim.runner
+        import repro.simfast.multipoint
+
+        def no_des(*args, **kwargs):
+            raise AssertionError("a DES ran before the grid was checked")
+
+        monkeypatch.setattr(repro.simfast.multipoint, "run_multipoint_simulation", no_des)
+        monkeypatch.setattr(repro.sim.runner, "run_server_simulation", no_des)
+        traffic, consolidation = light_setup
+        with pytest.raises(ConfigurationError, match="grid"):
+            PowerProfile.build(
+                workload,
+                traffic,
+                consolidation,
+                lambda: MaxFrequencyGovernor(XEON_LADDER),
+                util_grid=grid,
+                params=FAST,
             )
 
     def test_profile_table_caches(self):

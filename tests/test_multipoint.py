@@ -1,18 +1,15 @@
-"""Lockstep multi-point engine: bit-identical to per-point scalar runs.
+"""Lockstep engine: bit-identical to per-point scalar runs.
 
-``repro.simfast.multipoint`` simulates a whole constraint grid in one
-event loop; its hard contract is that every per-point result equals
-the scalar ``run_server_simulation`` with ``==`` on floats — no
-tolerance.  These tests pin that contract on one-point and fixed
-grids, randomized grids, the fig. 12 golden digests, the
-scalar-fallback paths, the shared-field validation and the joint
-plural API, and check that every production single-point entry runs
-on the lockstep engine.
+``repro.simfast.multipoint`` runs each point of a list through its own
+per-core event loops; its hard contract is that every per-point result
+equals the scalar ``run_server_simulation`` with ``==`` on floats — no
+tolerance.  These tests pin that contract on single points, fixed and
+mixed point lists, randomized lists, the fig. 12 golden digests, the
+scalar-fallback paths and the joint plural API, and check that every
+production entry runs one lockstep point per sweep task.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -23,8 +20,15 @@ from repro.consolidation import route_on_subnet
 from repro.control.latency_monitor import LatencyMonitor
 from repro.core import EpronsDatacenter, JointSimParams, evaluate_operating_point
 from repro.core.joint import evaluate_operating_points
-from repro.errors import ConfigurationError
-from repro.exec.ops import diurnal_profile_op, governor_factory, server_sim_op
+from repro.errors import ConfigurationError, InfeasibleError
+from repro.exec import ExecContext, run_sweep, use_context
+from repro.exec.ops import (
+    diurnal_profile_op,
+    governor_factory,
+    joint_eval_op,
+    server_sim_op,
+)
+from repro.experiments.fig13_joint_power import build_tasks
 from repro.policies import (
     EpronsNoReorderGovernor,
     EpronsServerGovernor,
@@ -121,8 +125,8 @@ def test_constraint_grid_matches_scalar(service_model, ladder):
 
 
 def test_mixed_governor_grid_matches_scalar(service_model, ladder):
-    """Heterogeneous policies fork into distinct groups but every point
-    still lands bit-identical, in input order."""
+    """Heterogeneous policies in one list each land bit-identical, in
+    input order."""
     cells = [
         (cls, L)
         for cls in (RubikGovernor, EpronsServerGovernor, MaxFrequencyGovernor)
@@ -242,7 +246,7 @@ def test_random_grids_match_scalar(data, service_model, ladder):
         assert result == _scalar(service_model, factory, cfg)
 
 
-# -- TimeTrader: the feedback kind -------------------------------------------------
+# -- TimeTrader: timer ticks and the completion window -----------------------------
 
 
 def _reply_sampler(n, rng):
@@ -357,8 +361,8 @@ def test_timetrader_hooks_replay_the_scalar_loop(service_model, ladder):
 
 
 def test_timetrader_mixed_grid_runs_lockstep(service_model, ladder):
-    """TimeTrader at two constraints shares one pass with VP and
-    constant points; nothing falls back."""
+    """TimeTrader at two constraints in one list with VP and constant
+    points; nothing falls back."""
     constraints = (25e-3, 35e-3)
     entries = [
         (_config(L), _timetrader(ladder, L)) for L in constraints
@@ -430,20 +434,26 @@ def test_jsq_dispatch_falls_back_to_scalar(service_model, ladder):
     assert grid[0] == _scalar(service_model, factory, config)
 
 
-# -- shared-field validation -------------------------------------------------------
+# -- independent points ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("field,value", [("utilization", 0.5), ("seed", 99)])
-def test_points_must_agree_on_shared_fields(service_model, ladder, field, value):
+def test_mixed_point_list_matches_scalar(service_model, ladder):
+    """Points share nothing: a list mixing utilization, core count,
+    seed and dispatch equals per-point scalar runs, in input order."""
     factory = _factory(EpronsServerGovernor, service_model, ladder)
-    base = _config()
-    other = dataclasses.replace(base, **{field: value})
-    points = [
-        MultipointPoint(config=base, governor_factory=factory),
-        MultipointPoint(config=other, governor_factory=factory),
+    configs = [
+        _config(),
+        _config(utilization=0.5),
+        _config(n_cores=3),
+        _config(seed=99),
+        _config(dispatch="round-robin"),
     ]
-    with pytest.raises(ConfigurationError, match=field):
-        run_multipoint_simulation(service_model, points)
+    grid = run_multipoint_simulation(
+        service_model,
+        [MultipointPoint(config=cfg, governor_factory=factory) for cfg in configs],
+    )
+    for cfg, result in zip(configs, grid):
+        assert result == _scalar(service_model, factory, cfg)
 
 
 # -- joint plural API --------------------------------------------------------------
@@ -605,7 +615,7 @@ def test_datacenter_evaluate_runs_one_point_lockstep(ft4, des_calls, governor, e
 
 def test_fig15_timetrader_profile_makes_no_scalar_call(des_calls):
     """Fig. 15's TimeTrader profiles (60 s runs, 20 s warmup) price
-    every utilization on the lockstep engine."""
+    every utilization on the lockstep engine, in one call."""
     util_grid = (0.2, 0.5)
     out = diurnal_profile_op(
         arity=4, scheme="timetrader", level=0, bg_bucket=0.1,
@@ -613,4 +623,55 @@ def test_fig15_timetrader_profile_makes_no_scalar_call(des_calls):
         traffic_seed=1,
     )
     assert out["profile"] is not None
-    assert des_calls == {"multipoint": len(util_grid), "scalar": 0}
+    assert des_calls == {"multipoint": 1, "scalar": 0}
+
+
+def test_fig13_sweep_runs_one_point_per_task(tmp_path, monkeypatch):
+    """A fig13 sweep dispatches one plain ``joint-eval`` task per point:
+    each feasible task makes one one-point lockstep call, an infeasible
+    one none, nothing falls back, and every outcome equals
+    ``joint_eval_op`` called directly."""
+    import repro.sim.runner
+    import repro.simfast.multipoint
+
+    # Background 0.5: level 0 and no-pm are feasible, level 3 is not.
+    tasks = build_tasks(
+        backgrounds=(0.5,),
+        constraints_ms=(25.0, 40.0),
+        levels=(0, 3),
+        params=JointSimParams(sim_cores=1, duration_s=2.0, warmup_s=0.5),
+        include_no_pm=True,
+        seed=1,
+    )
+    ctx = ExecContext(jobs=1, cache=False, cache_dir=str(tmp_path / "cache"))
+    sizes: list[int] = []
+    scalar_calls: list[int] = []
+
+    def multipoint(service_model, points, *args, **kwargs):
+        sizes.append(len(points))
+        return run_multipoint_simulation(service_model, points, *args, **kwargs)
+
+    def scalar(*args, **kwargs):
+        scalar_calls.append(1)
+        return run_server_simulation(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(repro.simfast.multipoint, "run_multipoint_simulation", multipoint)
+        m.setattr(repro.sim.runner, "run_server_simulation", scalar)
+        outs = run_sweep(tasks, ctx=ctx)
+
+    assert sum(o.ok for o in outs) == 4
+    assert sum(o.infeasible for o in outs) == 2
+    assert sizes == [1, 1, 1, 1]
+    assert scalar_calls == []
+    with use_context(ctx):
+        for out, task in zip(outs, tasks):
+            if out.infeasible:
+                with pytest.raises(InfeasibleError) as err:
+                    joint_eval_op(**task.kwargs)
+                assert out.error == str(err.value)
+                continue
+            direct = joint_eval_op(**task.kwargs)
+            assert out.value.server_result == direct.server_result
+            assert out.value.breakdown == direct.breakdown
+            assert out.value.sla_met == direct.sla_met

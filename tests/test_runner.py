@@ -56,6 +56,21 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=match):
             cfg(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("duration_s", float("nan")),
+            ("duration_s", float("inf")),
+            ("warmup_s", float("nan")),
+            ("latency_constraint_s", float("inf")),
+        ],
+    )
+    def test_non_finite_times_rejected(self, field, value):
+        """A non-finite run length would never end the DES's trace
+        extraction; only the config is built here, no DES runs."""
+        with pytest.raises(ConfigurationError):
+            cfg(**{field: value})
+
 
 class TestSampler:
     def test_constant_sampler(self):
