@@ -24,14 +24,20 @@ rows stay chronological, so every result is bit-identical to a
 
 An epoch of polls arrives as one :class:`~repro.telemetry.ObservedBatch`,
 already in the store's ingest format (sorted ids, counts, flat rates).
+The traffic views it hands back (:meth:`TrafficMonitor.predicted_traffic`,
+:meth:`TrafficMonitor.observed_traffic`) are built in bulk by
+:meth:`~repro.flows.traffic.TrafficSet.with_demands`: the new demands
+are checked in one vectorized pass and every other field of a flow is
+copied from the validated base flow.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..flows.flow import Flow
 from ..flows.traffic import TrafficSet
 
 __all__ = ["TrafficMonitor"]
@@ -78,9 +84,10 @@ class TrafficMonitor:
             raise ConfigurationError(
                 f"max_tracked_flows must be positive, got {max_tracked_flows}"
             )
-        if staleness_inflation < 0:
+        if not (math.isfinite(staleness_inflation) and staleness_inflation >= 0):
             raise ConfigurationError(
-                f"staleness_inflation must be non-negative, got {staleness_inflation}"
+                "staleness_inflation must be non-negative and finite, "
+                f"got {staleness_inflation}"
             )
         self.q = q
         self.window = int(window)
@@ -292,23 +299,12 @@ class TrafficMonitor:
 
     # -- traffic views -----------------------------------------------------------
 
-    def _base_rows(self, flows: tuple[Flow, ...]) -> tuple[np.ndarray, np.ndarray]:
+    def _base_rows(self, base: TrafficSet) -> tuple[np.ndarray, np.ndarray]:
         """Each base flow's row (0 when untracked) and a tracked mask."""
         get = self._rows.get
-        idx = np.fromiter((get(f.flow_id, -1) for f in flows), np.intp, len(flows))
+        idx = np.fromiter((get(f.flow_id, -1) for f in base), np.intp, len(base))
         tracked = idx >= 0
         return np.where(tracked, idx, 0), tracked
-
-    @staticmethod
-    def _rebuilt(flows, demand: np.ndarray, replace: np.ndarray) -> TrafficSet:
-        """``flows`` with ``demand`` substituted where ``replace`` is set."""
-        out = TrafficSet()
-        add = out.add
-        for flow, d, r in zip(flows, demand.tolist(), replace.tolist()):
-            if r:
-                flow = Flow(flow.flow_id, flow.src, flow.dst, d, flow.flow_class, flow.deadline_s)
-            add(flow)
-        return out
 
     def predicted_traffic(self, base: TrafficSet) -> TrafficSet:
         """The base traffic set with demands replaced by predictions.
@@ -325,8 +321,7 @@ class TrafficMonitor:
           epoch uses its admission-time estimate, as a real controller
           must).
         """
-        flows = base.flows
-        rows, tracked = self._base_rows(flows)
+        rows, tracked = self._base_rows(base)
         n_samples, pred, _ = self._window_stats()
         n_samples = n_samples[rows]
         observed = tracked & (n_samples > 0)
@@ -341,7 +336,7 @@ class TrafficMonitor:
         self.fallbacks += int(blind.sum())
         self._last_good[rows[observed]] = predicted[observed]
         self._has_last_good[rows[observed]] = True
-        return self._rebuilt(flows, demand, observed | blind)
+        return base.with_demands(demand, observed | blind)
 
     def observed_traffic(self, base: TrafficSet) -> TrafficSet:
         """The base traffic set with demands replaced by *measured* load.
@@ -353,11 +348,10 @@ class TrafficMonitor:
         actually saw?", deliberately independent of the predictor the
         candidate was solved from.
         """
-        flows = base.flows
-        rows, tracked = self._base_rows(flows)
+        rows, tracked = self._base_rows(base)
         n_samples, _, mean = self._window_stats()
         observed = tracked & (n_samples[rows] > 0)
-        return self._rebuilt(flows, np.maximum(mean[rows], 1.0), observed)
+        return base.with_demands(np.maximum(mean[rows], 1.0), observed)
 
     # -- lifecycle ---------------------------------------------------------------
 

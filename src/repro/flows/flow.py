@@ -74,9 +74,12 @@ class Flow:
             raise ConfigurationError(
                 f"flow {self.flow_id!r}: invalid class {self.flow_class!r}"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not (
+            math.isfinite(self.deadline_s) and self.deadline_s > 0
+        ):
             raise ConfigurationError(
-                f"flow {self.flow_id!r}: deadline must be positive, got {self.deadline_s}"
+                f"flow {self.flow_id!r}: deadline must be positive and finite, "
+                f"got {self.deadline_s}"
             )
         if self.flow_class == FlowClass.LATENCY_TOLERANT and self.deadline_s is not None:
             raise ConfigurationError(
@@ -102,3 +105,29 @@ class Flow:
     def with_demand(self, demand_bps: float) -> "Flow":
         """A copy of this flow with an updated demand prediction."""
         return replace(self, demand_bps=demand_bps)
+
+
+def copies_with_demands(flows, demands) -> list[Flow]:
+    """``flow.with_demand(d)`` for each pair, for demands the caller has
+    already checked positive and finite.
+
+    Every other field comes from a flow that passed ``__post_init__``,
+    so the copies skip it: this is the bulk path of
+    :meth:`~repro.flows.traffic.TrafficSet.with_demands`.  Fields are
+    set one by one, as the generated ``__init__`` sets them, not through
+    ``__dict__``: touching that builds a per-flow dict, which slows
+    every later read of the flow and doubles the garbage collector's
+    allocation count.
+    """
+    new, set_field = object.__new__, object.__setattr__
+    out = []
+    for flow, demand in zip(flows, demands):
+        copy = new(Flow)
+        set_field(copy, "flow_id", flow.flow_id)
+        set_field(copy, "src", flow.src)
+        set_field(copy, "dst", flow.dst)
+        set_field(copy, "demand_bps", demand)
+        set_field(copy, "flow_class", flow.flow_class)
+        set_field(copy, "deadline_s", flow.deadline_s)
+        out.append(copy)
+    return out

@@ -21,7 +21,7 @@ from ..errors import ConfigurationError
 from ..rng import ensure_rng
 from ..topology.graph import Topology
 from ..units import MBPS
-from .flow import Flow, FlowClass
+from .flow import Flow, FlowClass, copies_with_demands
 
 __all__ = ["TrafficSet", "search_flows", "background_flows", "combined_traffic"]
 
@@ -88,6 +88,43 @@ class TrafficSet:
         if demand.size and scale_factor < 1.0:
             raise ConfigurationError(f"scale factor must be >= 1, got {scale_factor}")
         return float(np.where(ls, scale_factor * demand, demand).sum())
+
+    def with_demands(self, demand, replace) -> "TrafficSet":
+        """This set with ``demand[i]`` as flow ``i``'s demand wherever
+        ``replace[i]`` is set (flow order).
+
+        The new demands are checked in one pass, with :class:`Flow`'s
+        error for the first bad one; every other field of a replaced
+        flow is copied from its already-validated original.
+        """
+        demand = np.asarray(demand, dtype=float)
+        replace = np.asarray(replace, dtype=bool)
+        if demand.shape != (len(self._flows),) or replace.shape != demand.shape:
+            raise ConfigurationError(
+                f"need one demand and one replace flag per flow ({len(self._flows)}), "
+                f"got shapes {demand.shape} and {replace.shape}"
+            )
+        at = np.flatnonzero(replace)
+        new = demand[at]
+        bad = ~(np.isfinite(new) & (new > 0))
+        if bad.any():
+            i = int(at[np.argmax(bad)])
+            raise ConfigurationError(
+                f"flow {self._flows[i].flow_id!r}: demand must be positive and finite, "
+                f"got {float(demand[i])}"
+            )
+        flows = list(self._flows)
+        at = at.tolist()
+        for i, flow in zip(at, copies_with_demands([flows[i] for i in at], new.tolist())):
+            flows[i] = flow
+        base_demand, ls = self._arrays()
+        out = TrafficSet()
+        out._flows = flows
+        # ``_by_id`` lists the ids in flow order, and they are unique.
+        out._by_id = dict(zip(self._by_id, flows))
+        out._demand_arr = np.where(replace, demand, base_demand)
+        out._ls_mask = ls
+        return out
 
     def merged_with(self, other: "TrafficSet") -> "TrafficSet":
         return TrafficSet(list(self._flows) + list(other.flows))

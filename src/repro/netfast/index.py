@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 
+#: Bound on a :class:`TopologyIndex`'s validated-path memo: every
+#: routed path of a k=48 fat tree's ~1e5 flows fits.
+_MAX_ROUTES = 1 << 17
+
+
 class PathSet:
     """All shortest paths of one (src, dst) pair, as index matrices.
 
@@ -225,6 +230,9 @@ class TopologyIndex:
             else None
         )
         self._path_sets: dict[tuple[str, str], PathSet] = {}
+        #: Node path -> its directed link ids, for paths already
+        #: validated against this topology (:meth:`route_dlinks`).
+        self._routes: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     # -- name <-> id helpers ---------------------------------------------------
 
@@ -235,6 +243,26 @@ class TopologyIndex:
 
     def switch_names(self, node_ids) -> list[str]:
         return [self.node_names[i] for i in node_ids]
+
+    # -- routes ----------------------------------------------------------------
+
+    def route_dlinks(self, path: tuple[str, ...]) -> tuple[int, ...] | None:
+        """The directed link ids of a node path in hop order, or ``None``
+        when a hop is not a link of this topology.
+
+        Valid paths are memoized: routings repeat the same paths epoch
+        after epoch, so most compiles are one dict lookup per flow.  The
+        memo starts over once it holds :data:`_MAX_ROUTES` paths.
+        """
+        links = self._routes.get(path)
+        if links is None:
+            links = tuple(map(self.dlink_id.get, zip(path, path[1:])))
+            if None in links:
+                return None
+            if len(self._routes) >= _MAX_ROUTES:
+                self._routes.clear()
+            self._routes[path] = links
+        return links
 
     # -- path sets -------------------------------------------------------------
 

@@ -14,6 +14,8 @@ are bit-identical, not merely close.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -41,40 +43,39 @@ class RoutingMatrix:
 
         Raises :class:`~repro.errors.ConfigurationError` on an unrouted
         flow, mismatched endpoints, or a hop over a missing link — the
-        same contract (and messages) as the oracle model.
+        same contract (and messages) as the oracle model.  Each path
+        resolves in one lookup of the index's route memo
+        (:meth:`~repro.netfast.index.TopologyIndex.route_dlinks`).
         """
-        dlink_id = index.dlink_id
+        route_of, route_dlinks = routing.get, index.route_dlinks
         flow_ids: list[str] = []
         demands: list[float] = []
-        indptr = [0]
-        all_links: list[int] = []
-        row_of: dict[str, int] = {}
+        routes: list[tuple[int, ...]] = []
         for flow in traffic:
-            if flow.flow_id not in routing:
-                raise ConfigurationError(f"flow {flow.flow_id!r} has no route")
-            path = routing.path(flow.flow_id)
+            fid = flow.flow_id
+            path = route_of(fid)
+            if path is None:
+                raise ConfigurationError(f"flow {fid!r} has no route")
             if path[0] != flow.src or path[-1] != flow.dst:
                 raise ConfigurationError(
-                    f"flow {flow.flow_id!r}: route endpoints {path[0]!r}->{path[-1]!r} "
+                    f"flow {fid!r}: route endpoints {path[0]!r}->{path[-1]!r} "
                     f"do not match flow {flow.src!r}->{flow.dst!r}"
                 )
-            for u, v in zip(path[:-1], path[1:]):
-                d = dlink_id.get((u, v))
-                if d is None:
-                    raise ConfigurationError(
-                        f"flow {flow.flow_id!r}: route uses missing link ({u!r}, {v!r})"
-                    )
-                all_links.append(d)
-            row_of[flow.flow_id] = len(flow_ids)
-            flow_ids.append(flow.flow_id)
+            links = route_dlinks(path)
+            if links is None:
+                u, v = next(hop for hop in zip(path, path[1:]) if hop not in index.dlink_id)
+                raise ConfigurationError(f"flow {fid!r}: route uses missing link ({u!r}, {v!r})")
+            flow_ids.append(fid)
             demands.append(flow.demand_bps)
-            indptr.append(len(all_links))
+            routes.append(links)
+        indptr = np.zeros(len(routes) + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, routes), np.intp, len(routes)), out=indptr[1:])
         return cls(
             index=index,
             flow_ids=tuple(flow_ids),
-            row_of=row_of,
-            indptr=np.asarray(indptr, dtype=np.intp),
-            dlinks=np.asarray(all_links, dtype=np.intp),
+            row_of=dict(zip(flow_ids, range(len(flow_ids)))),
+            indptr=indptr,
+            dlinks=np.fromiter(chain.from_iterable(routes), np.intp, int(indptr[-1])),
             demands=np.asarray(demands, dtype=float),
         )
 

@@ -46,6 +46,10 @@ class Routing:
     def __len__(self) -> int:
         return len(self._paths)
 
+    def get(self, flow_id: str) -> Path | None:
+        """The flow's path, or ``None`` when it has no route."""
+        return self._paths.get(flow_id)
+
     def path(self, flow_id: str) -> Path:
         try:
             return self._paths[flow_id]

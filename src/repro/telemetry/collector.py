@@ -12,9 +12,13 @@ monitor to all flows attached there at once — the failure mode that
 makes per-flow prediction dangerous.
 
 A reply is one vector of rates over the switch's flows.  Each epoch the
-flows are sorted once by (attachment switch, flow id), so every switch
-is a contiguous block of rows; the delivered samples leave as one
-:class:`ObservedBatch` of flat arrays in the monitor's ingest format.
+flows are ranked once by id and grouped by (attachment switch, id), so
+every switch is a contiguous block of rows.  An epoch is drawn first,
+then assembled: each switch draws all its polls' outcomes (and noise
+vectors) in stream order, and then the delivered samples, gaps and
+late replies of every (flow, poll) pair come out of whole-epoch array
+operations, leaving as one :class:`ObservedBatch` of flat arrays in the
+monitor's ingest format.
 
 Replay is seed-deterministic and independent of iteration order:
 every (epoch, switch) pair draws from its own content-keyed generator,
@@ -24,7 +28,6 @@ and flows within a reply are processed in sorted id order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -34,6 +37,9 @@ from ..topology.graph import Topology
 from .profile import TelemetryProfile
 
 __all__ = ["ObservedBatch", "DegradedStatsCollector"]
+
+# Poll outcomes, in the order a poll's uniform draw is tested.
+_LOST, _STALE, _DELAYED, _CLEAN = range(4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +86,19 @@ class DegradedStatsCollector:
     def __init__(self, topology: Topology, profile: TelemetryProfile):
         self.topology = topology
         self.profile = profile
+        att = topology.attachment_switch
+        #: Reporting switches in name order, and each host's position
+        #: in that order (the epoch's rows are grouped by it).
+        self._switches = sorted({att(h) for h in topology.hosts})
+        rank = {sw: i for i, sw in enumerate(self._switches)}
+        self._switch_of_host = {h: rank[att(h)] for h in topology.hosts}
         #: Per-switch last successfully delivered reply ``(ids, rates)``
         #: — what a stale reply re-serves.
-        self._last_good: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        #: Late replies ``(ids, rates)`` keyed by the epoch they arrive in.
-        self._pending: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._last_good: dict[str, tuple[list[str], np.ndarray]] = {}
+        #: Late replies ``(ids, counts, rates)`` keyed by the epoch they
+        #: are addressed to: ``counts[i]`` samples of ``ids[i]``, back
+        #: to back, oldest first.
+        self._pending: dict[int, list[tuple[list[str], np.ndarray, np.ndarray]]] = {}
         self._next_epoch = 0
         self.polls_total = 0
         self.polls_lost = 0
@@ -98,7 +112,8 @@ class DegradedStatsCollector:
 
         ``traffic`` carries each flow's *true* current rate in
         ``demand_bps``.  Epochs must be visited in strictly increasing
-        order (late batches are addressed to ``epoch + 1``).
+        order; late batches are addressed to ``epoch + 1`` and arrive
+        with the first epoch collected at or after it.
         """
         if n_polls <= 0:
             raise ConfigurationError(f"n_polls must be positive, got {n_polls}")
@@ -108,90 +123,176 @@ class DegradedStatsCollector:
                 f"(next is {self._next_epoch})"
             )
         self._next_epoch = epoch + 1
+        # Late batches emitted in earlier epochs land first, oldest
+        # address first — data a real controller receives after the
+        # optimizer already ran.
+        late = [
+            chunk
+            for due in sorted(e for e in self._pending if e <= epoch)
+            for chunk in self._pending.pop(due)
+        ]
 
-        att = self.topology.attachment_switch
-        rows = sorted((att(f.src), f.flow_id, f.demand_bps) for f in traffic)
-        ids = np.array([r[1] for r in rows], dtype=str)
-        demand = np.array([r[2] for r in rows], dtype=float)
-        gaps = np.zeros(len(rows), dtype=np.int64)
-        late = self._pending.pop(epoch, [])
+        flows = traffic.flows
+        ids = [f.flow_id for f in flows]
+        switch_of = self._switch_of_host
+        try:
+            switch = np.array([switch_of[f.src] for f in flows], dtype=np.intp)
+        except KeyError as exc:
+            self.topology.attachment_switch(exc.args[0])
+            raise
+        demand = np.array([f.demand_bps for f in flows], dtype=float)
+
         # Every id the stream can name, sorted: samples are keyed by
         # rank, so late replies for departed flows need ranks too.
-        names = np.unique(np.concatenate([ids, *(i for i, _ in late)]))
-        rank = np.searchsorted(names, ids)
-        # The sample stream as (rank, rate) chunks in arrival order.
-        # Late batches emitted in an earlier epoch land first — data a
-        # real controller receives after the optimizer already ran.
-        keys = [np.searchsorted(names, i) for i, _ in late]
-        values = [v for _, v in late]
-        n_rounds = n_lost = n_stale = n_delayed = 0
+        departed = {i for chunk in late for i in chunk[0]}.difference(ids)
+        names = sorted([*ids, *departed])
+        pos = dict(zip(names, range(len(names))))
+        rank = np.array([pos[i] for i in ids], dtype=np.intp)
 
-        p_loss = self.profile.stats_loss_prob
-        p_stale = self.profile.stale_prob
-        p_delay = self.profile.delay_prob
-        noise = self.profile.noise_frac
+        # One row per flow: grouped by switch in name order, by id within.
+        rows = np.lexsort((rank, switch))
+        switch, rank, demand = switch[rows], rank[rows], demand[rows]
+        row_ids = [ids[r] for r in rows.tolist()]
+        edges = np.flatnonzero(np.diff(switch, prepend=-1, append=-1))
+        block = np.repeat(np.arange(edges.size - 1), np.diff(edges))
+        polled = [self._switches[s] for s in switch[edges[:-1]].tolist()]
+        starts, ends = edges[:-1].tolist(), edges[1:].tolist()
 
-        lo = 0
-        for switch, block in groupby(r[0] for r in rows):
-            hi = lo + sum(1 for _ in block)
-            rng = self.profile.rng_for(epoch, switch)
-            for _ in range(n_polls):
-                n_rounds += 1
-                u = rng.random()
-                if u < p_loss:
-                    n_lost += 1
-                    gaps[lo:hi] += 1
-                    continue
-                if u < p_loss + p_stale:
-                    # Re-serve the last delivered counters; a switch that
-                    # never answered cleanly has nothing to re-serve, so
-                    # the poll degenerates to a loss.
-                    n_stale += 1
-                    c_ids, c_rates = self._last_good.get(switch, (ids[:0], demand[:0]))
-                    hit = np.isin(ids[lo:hi], c_ids)
-                    keys.append(rank[lo:hi][hit])
-                    values.append(c_rates[np.searchsorted(c_ids, ids[lo:hi][hit])])
-                    gaps[lo:hi] += ~hit
-                    continue
-                # True rates with bounded multiplicative counter error.
-                scale = 1.0 + rng.uniform(-noise, noise, size=hi - lo) if noise > 0.0 else 1.0
-                reply = (ids[lo:hi], np.maximum(0.0, demand[lo:hi] * scale))
-                if u < p_loss + p_stale + p_delay:
-                    # The reply is in flight but late: it surfaces next
-                    # epoch, and this epoch's poll window stays empty.
-                    n_delayed += 1
-                    self._pending.setdefault(epoch + 1, []).append(reply)
-                    gaps[lo:hi] += 1
-                    continue
-                keys.append(rank[lo:hi])
-                values.append(reply[1])
-                self._last_good[switch] = reply
-            lo = hi
+        outcome, replies = self._draw(epoch, polled, starts, ends, demand, n_polls)
+        clean = outcome == _CLEAN
+        stale = outcome == _STALE
+        delayed = outcome == _DELAYED
+        # A stale poll re-serves the switch's latest clean reply: one
+        # from earlier in this epoch if there is one, else the reply
+        # cached from an earlier epoch.
+        latest = np.maximum.accumulate(np.where(clean, np.arange(n_polls), -1), axis=1)
+        fresh = clean | (stale & (latest >= 0))
+        from_cache = stale & (latest < 0)
+        delivered = fresh[block]
+        # ``values`` is None while every delivered sample is the flow's
+        # true demand (noise off, nothing re-served from the cache).
+        values = None
+        if replies is not None:
+            values = np.take_along_axis(replies, np.where(fresh, latest, 0)[block], axis=1)
+        if from_cache.any():
+            hit, cached = self._cached(polled, starts, ends, row_ids, from_cache.any(axis=1))
+            cache_hit = from_cache[block] & hit[:, None]
+            delivered |= cache_hit
+            base = demand[:, None] if values is None else values
+            values = np.where(cache_hit, cached[:, None], base)
+
+        if delayed.any():
+            in_flight = delayed[block]
+            late_rows = np.flatnonzero(in_flight.any(axis=1))
+            counts = in_flight[late_rows].sum(axis=1)
+            rates = (
+                np.repeat(demand[late_rows], counts)
+                if replies is None
+                else replies[late_rows][in_flight[late_rows]]
+            )
+            self._pending.setdefault(epoch + 1, []).append(
+                ([row_ids[r] for r in late_rows.tolist()], counts, rates)
+            )
+        for b in np.flatnonzero(latest[:, -1] >= 0).tolist():
+            lo, hi = starts[b], ends[b]
+            reply = demand[lo:hi] if replies is None else replies[lo:hi, latest[b, -1]]
+            self._last_good[polled[b]] = (row_ids[lo:hi], reply)
+
+        n_rounds = outcome.size
+        n_lost = int((outcome == _LOST).sum())
+        n_stale = int(stale.sum())
+        n_delayed = int(delayed.sum())
         self.polls_total += n_rounds
         self.polls_lost += n_lost
         self.polls_stale += n_stale
         self.polls_delayed += n_delayed
 
-        # One stable sort groups the stream by flow and keeps each
-        # flow's samples in arrival order.
-        key = np.concatenate([np.zeros(0, dtype=np.intp), *keys])
-        counts = np.bincount(key, minlength=names.size)
+        # This epoch's samples in id order, each flow's in poll order.
+        by_rank = np.argsort(rank)
+        n_got = delivered.sum(axis=1)
+        if values is None:
+            rates = np.repeat(demand[by_rank], n_got[by_rank])
+        else:
+            rates = values[by_rank][delivered[by_rank]]
+        counts = np.zeros(len(names), dtype=np.int64)
+        counts[rank] = n_got
+        if late:
+            # One stable sort puts each flow's late samples ahead of
+            # this epoch's and keeps both in arrival order.
+            late_key = np.concatenate(
+                [np.repeat([pos[i] for i in c_ids], c_counts) for c_ids, c_counts, _ in late]
+            )
+            key = np.concatenate([late_key, np.repeat(rank[by_rank], n_got[by_rank])])
+            rates = np.concatenate([*(r for _, _, r in late), rates])[np.argsort(key, kind="stable")]
+            counts += np.bincount(late_key, minlength=len(names))
+        gap_counts = np.zeros(len(names), dtype=np.int64)
+        gap_counts[rank] = n_polls - n_got
         sampled = np.flatnonzero(counts)
-        gap_counts = np.zeros(names.size, dtype=np.int64)
-        gap_counts[rank] = gaps
         gapped = np.flatnonzero(gap_counts)
         return ObservedBatch(
             epoch=epoch,
-            sample_ids=names[sampled].tolist(),
+            sample_ids=names if sampled.size == len(names) else [names[i] for i in sampled.tolist()],
             sample_counts=counts[sampled],
-            rates=np.concatenate([np.zeros(0), *values])[np.argsort(key, kind="stable")],
-            gap_ids=names[gapped].tolist(),
+            rates=rates,
+            gap_ids=[names[i] for i in gapped.tolist()],
             gap_counts=gap_counts[gapped],
             n_polls=n_rounds,
             n_lost=n_lost,
             n_stale=n_stale,
             n_delayed=n_delayed,
         )
+
+    def _draw(self, epoch, polled, starts, ends, demand, n_polls):
+        """Every poll's outcome, drawn switch by switch in stream order.
+
+        Returns the ``(switches, polls)`` outcome codes and, when the
+        profile has counter noise, the ``(rows, polls)`` matrix of the
+        replies each clean or delayed poll carries (``None`` without
+        noise: every reply is then the true demand).  Each switch's
+        generator yields one uniform per poll and, after a clean or
+        delayed one, that reply's noise vector.
+        """
+        profile = self.profile
+        t_lost = profile.stats_loss_prob
+        t_stale = t_lost + profile.stale_prob
+        t_delayed = t_stale + profile.delay_prob
+        noise = profile.noise_frac
+        u = np.empty((len(polled), n_polls))
+        scale = np.ones((demand.size, n_polls)) if noise > 0.0 else None
+        for b, name in enumerate(polled):
+            rng = profile.rng_for(epoch, name)
+            if scale is None:
+                u[b] = rng.random(n_polls)
+                continue
+            lo, hi = starts[b], ends[b]
+            for k in range(n_polls):
+                u[b, k] = x = rng.random()
+                if x >= t_stale:
+                    # True rates with bounded multiplicative counter error.
+                    scale[lo:hi, k] = 1.0 + rng.uniform(-noise, noise, size=hi - lo)
+        outcome = (u >= t_lost).astype(np.int8) + (u >= t_stale) + (u >= t_delayed)
+        replies = None if scale is None else np.maximum(0.0, demand[:, None] * scale)
+        return outcome, replies
+
+    def _cached(self, polled, starts, ends, row_ids, need):
+        """Per row, whether its switch's cached reply names the flow,
+        and the cached rate (for the switches flagged in ``need``)."""
+        hit = np.zeros(len(row_ids), dtype=bool)
+        rates = np.zeros(len(row_ids))
+        for b in np.flatnonzero(need).tolist():
+            cached = self._last_good.get(polled[b])
+            if cached is None:
+                # A switch that never answered cleanly has nothing to
+                # re-serve, so the poll degenerates to a loss.
+                continue
+            c_ids, c_rates = cached
+            at = dict(zip(c_ids, range(len(c_ids))))
+            for r in range(starts[b], ends[b]):
+                j = at.get(row_ids[r])
+                if j is not None:
+                    hit[r] = True
+                    rates[r] = c_rates[j]
+        return hit, rates
 
     # -- monitor feeding ---------------------------------------------------------
 

@@ -22,6 +22,7 @@ hash stably into its result cache.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -32,9 +33,11 @@ from ..errors import ConfigurationError
 __all__ = ["TelemetryProfile", "PERFECT_TELEMETRY"]
 
 
+@functools.lru_cache(maxsize=4096)
 def _stable_token(name: str) -> int:
     """A process-independent 32-bit token for a switch name (PYTHONHASHSEED
-    must not leak into replay determinism, so ``hash()`` is out)."""
+    must not leak into replay determinism, so ``hash()`` is out).
+    Memoized: a collector asks again for every switch each epoch."""
     return int(hashlib.sha256(name.encode()).hexdigest()[:8], 16)
 
 
@@ -55,6 +58,16 @@ class TelemetryProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Seeds are 32-bit: a float, bool or out-of-range seed would
+        # alias a valid seed's stream while hashing as a distinct profile.
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, (int, np.integer))
+            or not 0 <= self.seed < 2**32
+        ):
+            raise ConfigurationError(
+                f"seed must be an integer in [0, 2**32), got {self.seed!r}"
+            )
         for name in ("stats_loss_prob", "stale_prob", "delay_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -90,7 +103,7 @@ class TelemetryProfile:
         if epoch < 0:
             raise ConfigurationError(f"epoch must be >= 0, got {epoch}")
         ss = np.random.SeedSequence(
-            entropy=[int(self.seed) & 0xFFFFFFFF, epoch, _stable_token(switch)]
+            entropy=[int(self.seed), epoch, _stable_token(switch)]
         )
         return np.random.default_rng(ss)
 

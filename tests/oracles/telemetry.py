@@ -142,7 +142,8 @@ class ReferenceStatsCollector:
 
         ``traffic`` carries each flow's *true* current rate in
         ``demand_bps``.  Epochs must be visited in strictly increasing
-        order (late batches are addressed to ``epoch + 1``).
+        order; late batches are addressed to ``epoch + 1`` and arrive
+        with the first epoch collected at or after it.
         """
         if n_polls <= 0:
             raise ConfigurationError(f"n_polls must be positive, got {n_polls}")
@@ -157,11 +158,13 @@ class ReferenceStatsCollector:
         gaps: dict[str, int] = {}
         n_rounds = n_lost = n_stale = n_delayed = 0
 
-        # Late batches emitted in an earlier epoch land first — data a
-        # real controller receives after the optimizer already ran.
-        for batch in self._pending.pop(epoch, ()):
-            for fid in sorted(batch):
-                samples.setdefault(fid, []).append(batch[fid])
+        # Late batches emitted in an earlier epoch land first, oldest
+        # address first — data a real controller receives after the
+        # optimizer already ran.
+        for due in sorted(e for e in self._pending if e <= epoch):
+            for batch in self._pending.pop(due):
+                for fid in sorted(batch):
+                    samples.setdefault(fid, []).append(batch[fid])
 
         p_loss = self.profile.stats_loss_prob
         p_stale = self.profile.stale_prob

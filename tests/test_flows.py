@@ -1,5 +1,6 @@
 """Flow model and traffic-set construction."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -44,6 +45,11 @@ class TestFlow:
         with pytest.raises(ConfigurationError):
             Flow("x", "a", "b", 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_non_finite_or_nonpositive_deadline_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="deadline must be positive and finite"):
+            Flow("x", "a", "b", 1.0, FlowClass.LATENCY_SENSITIVE, deadline_s=bad)
+
     def test_tolerant_with_deadline_rejected(self):
         with pytest.raises(ConfigurationError):
             Flow("x", "a", "b", 1.0, FlowClass.LATENCY_TOLERANT, deadline_s=1e-3)
@@ -60,6 +66,45 @@ class TestFlow:
     def test_is_latency_sensitive(self):
         assert ls_flow().is_latency_sensitive
         assert not lt_flow().is_latency_sensitive
+
+
+class TestWithDemands:
+    def base(self):
+        return TrafficSet([ls_flow("a", 1e6), lt_flow("b", 2e6), ls_flow("c", 3e6)])
+
+    def test_matches_rebuilding_each_flow(self):
+        base = self.base()
+        view = base.with_demands(np.array([5.0, 7.0, 9.0]), np.array([True, False, True]))
+        expected = TrafficSet(
+            [base["a"].with_demand(5.0), base["b"], base["c"].with_demand(9.0)]
+        )
+        assert view.flows == expected.flows
+        assert [vars(f) for f in view] == [vars(f) for f in expected]
+        assert [type(f.demand_bps) for f in view] == [float] * 3
+        assert view["c"] == expected["c"] and "b" in view and "z" not in view
+        assert view.total_demand_bps() == expected.total_demand_bps()
+        assert view.total_reserved_bps(2.0) == expected.total_reserved_bps(2.0)
+        assert view["b"] is base["b"]
+        assert base["a"].demand_bps == 1e6  # the base set is untouched
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_rejects_bad_demand_with_the_flow_message(self, bad):
+        base = self.base()
+        with pytest.raises(ConfigurationError) as flow_error:
+            base["b"].with_demand(bad)
+        with pytest.raises(ConfigurationError) as view_error:
+            base.with_demands(np.array([1.0, bad, bad]), np.array([True, True, True]))
+        assert str(view_error.value) == str(flow_error.value)
+
+    def test_bad_demand_is_ignored_where_not_replaced(self):
+        view = self.base().with_demands(
+            np.array([float("nan"), 4.0, -1.0]), np.array([False, True, False])
+        )
+        assert [f.demand_bps for f in view] == [1e6, 4.0, 3e6]
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ConfigurationError, match="one demand and one replace flag"):
+            self.base().with_demands(np.ones(2), np.ones(2, dtype=bool))
 
 
 class TestTrafficSet:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.consolidation.heuristic import GreedyConsolidator
+from repro.errors import ConfigurationError
 from repro.flows.traffic import combined_traffic
 from repro.netfast import RoutingMatrix, topology_index
 from repro.netfast.routing import _ranges
+from repro.netsim.network import Routing
 from repro.netsim.latency import (
     LinkLatencyModel,
     _scatter_add_rows,
@@ -16,6 +18,7 @@ from repro.netsim.latency import (
 )
 from repro.topology.fattree import FatTree
 from repro.topology.paths import fat_tree_paths, shortest_paths
+from tests.oracles.network import ReferenceNetworkModel
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +219,33 @@ def test_routing_matrix_round_trip(ft4):
     assert np.array_equal(dlinks, expect)
     counts = [mat.indptr[r + 1] - mat.indptr[r] for r in rows]
     assert np.array_equal(owner, np.repeat(np.arange(len(rows)), counts))
+
+
+def test_route_memo_keeps_the_oracle_errors(ft4):
+    traffic = combined_traffic(ft4, ft4.hosts[0], 0.2, seed_or_rng=1)
+    good = GreedyConsolidator(ft4).consolidate(traffic, 1.0).routing
+    idx = topology_index(ft4)
+    RoutingMatrix.build(idx, traffic, good)  # every path is now memoized
+    paths = dict(good.items())
+    fid, path = next((f, p) for f, p in paths.items() if len(p) == 7)
+    other = next(f for f, p in paths.items() if p[0] != path[0])
+    broken = {
+        # The cached path minus its last edge switch: a bad final hop.
+        "missing hop": {**paths, fid: path[:5] + path[6:]},
+        # A cached path of another flow.
+        "swapped endpoints": {**paths, fid: paths[other]},
+        "unrouted": {f: p for f, p in paths.items() if f != fid},
+    }
+    for name, bad in broken.items():
+        with pytest.raises(ConfigurationError) as want:
+            ReferenceNetworkModel(ft4, traffic, Routing(bad))
+        with pytest.raises(ConfigurationError) as got:
+            RoutingMatrix.build(idx, traffic, Routing(bad))
+        assert str(got.value) == str(want.value), name
+    # A failed compile memoizes nothing; the good routing still compiles.
+    assert idx.route_dlinks(path[:5] + path[6:]) is None
+    assert idx.route_dlinks(path) == tuple(idx.dlink_id[h] for h in zip(path, path[1:]))
+    assert RoutingMatrix.build(idx, traffic, good).n_flows == len(traffic)
 
 
 def test_ranges():

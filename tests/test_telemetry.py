@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,17 @@ class TestTelemetryProfile:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ConfigurationError):
             TelemetryProfile(**kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, 2**40, 1.5, 1.0, True, "3", None])
+    def test_rejects_seeds_that_alias_another_stream(self, seed):
+        # The generators key on 32 bits: seed=2**32 used to replay seed=0
+        # and seed=-1 seed=2**32-1, each hashing as a distinct profile.
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            TelemetryProfile(stats_loss_prob=0.5, seed=seed)
+
+    def test_accepts_every_32_bit_seed(self):
+        for seed in (0, 2**32 - 1, np.int64(7)):
+            TelemetryProfile(seed=seed).rng_for(0, "e0_0").random()
 
     def test_pickle_round_trip(self):
         p = TelemetryProfile(
@@ -168,6 +180,19 @@ class TestDegradedStatsCollector:
         assert same_batch(a.collect(1, traffic), b.collect(1, traffic))
         assert a.accounting() == b.accounting()
 
+    def test_late_batch_survives_a_skipped_epoch(self, workload, traffic):
+        # Epoch 0's replies are all late, addressed to epoch 1; the
+        # controller next collects epoch 2.  They must arrive then,
+        # ahead of epoch 2's own (again late) polls, not sit in the
+        # collector forever.
+        profile = TelemetryProfile(delay_prob=1.0, seed=4)
+        collector = DegradedStatsCollector(workload.topology, profile)
+        collector.collect(0, traffic, n_polls=2)
+        batch = collector.collect(2, traffic, n_polls=2)
+        samples, _ = batch_to_dicts(batch)
+        assert samples == {f.flow_id: [f.demand_bps] * 2 for f in traffic}
+        assert sorted(collector._pending) == [3]
+
     def test_epochs_must_increase(self, workload, traffic):
         collector = DegradedStatsCollector(workload.topology, PERFECT_TELEMETRY)
         collector.collect(1, traffic)
@@ -232,6 +257,13 @@ class TestMonitorRobustness:
             TrafficMonitor(max_tracked_flows=0)
         with pytest.raises(ConfigurationError):
             TrafficMonitor(staleness_inflation=-0.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_staleness_inflation(self, bad):
+        # A NaN or infinite discount turns every gapped flow's prediction
+        # into NaN, which used to surface only when a view was rebuilt.
+        with pytest.raises(ConfigurationError, match="staleness_inflation"):
+            TrafficMonitor(staleness_inflation=bad)
 
     def test_blind_flow_falls_back_to_last_good(self, workload, traffic):
         m = TrafficMonitor(window=3)
