@@ -3,9 +3,7 @@
 Times fig12-style server-simulation points — a multi-core server under
 a VP governor at a given (utilization, latency constraint) — on the
 path production prices a single point with: a one-point
-:func:`~repro.simfast.run_multipoint_simulation` (lockstep) run.  Each
-point row asserts that result ``==`` the scalar
-:func:`~repro.sim.runner.run_server_simulation` of the same point.
+:func:`~repro.simfast.run_multipoint_simulation` (lockstep) run.
 Emits a machine-readable ``BENCH_server.json`` with wall times,
 events/s and decisions/s.
 
@@ -19,8 +17,10 @@ Each point is timed cold (first run in the process — it pays VP-table
 construction, which subsequent same-process runs share through
 :func:`repro.simfast.shared_table_engine`) and warm (best of
 ``--repeats`` further runs), asserting run-to-run identical results.
-Equivalence with the mixture-evaluation oracle is the test suite's job
-(``tests/test_simfast_equivalence.py``).
+Equivalence is the test suite's job: ``tests/test_multipoint.py``
+holds these points, at the ``--quick`` shape, to the event-heap
+reference loop, and ``tests/test_simfast_equivalence.py`` holds the
+tables to the mixture-evaluation oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.policies import (
 )
 from repro.server.dvfs import XEON_LADDER
 from repro.server.service import default_service_model
-from repro.sim.runner import ServerSimConfig, run_server_simulation
+from repro.sim.runner import ServerSimConfig
 from repro.simfast import (
     MultipointPoint,
     clear_shared_engines,
@@ -58,6 +58,28 @@ DEFAULT_POINTS = (
 )
 
 
+def point_config(utilization, constraint_s, duration_s, n_cores, seed):
+    """The benchmarked :class:`ServerSimConfig` of one point."""
+    return ServerSimConfig(
+        utilization=utilization,
+        latency_constraint_s=constraint_s,
+        n_cores=n_cores,
+        duration_s=duration_s,
+        warmup_s=min(duration_s / 3.0, 20.0),
+        seed=seed,
+    )
+
+
+def governor_factory(name, service_model):
+    """A fresh-governor factory for a :data:`GOVERNORS` name."""
+    governor_cls = GOVERNORS[name]
+
+    def factory():
+        return governor_cls(service_model, XEON_LADDER)
+
+    return factory
+
+
 def _run_point(factory, service_model, config):
     """One instrumented one-point lockstep run:
     (result, n_events, n_decisions)."""
@@ -72,19 +94,8 @@ def _run_point(factory, service_model, config):
 
 def bench_point(name, utilization, constraint_s, duration_s, n_cores, seed, repeats):
     service_model = default_service_model()
-    config = ServerSimConfig(
-        utilization=utilization,
-        latency_constraint_s=constraint_s,
-        n_cores=n_cores,
-        duration_s=duration_s,
-        warmup_s=min(duration_s / 3.0, 20.0),
-        seed=seed,
-    )
-    governor_cls = GOVERNORS[name]
-
-    def factory():
-        return governor_cls(service_model, XEON_LADDER)
-
+    config = point_config(utilization, constraint_s, duration_s, n_cores, seed)
+    factory = governor_factory(name, service_model)
     # Charge the cold run the full table build, as a fresh worker
     # process would pay it.
     clear_shared_engines()
@@ -98,8 +109,6 @@ def bench_point(name, utilization, constraint_s, duration_s, n_cores, seed, repe
         t_warm = min(t_warm, time.perf_counter() - t0)
         if again != result:
             raise AssertionError(f"{name}: run-to-run mismatch")
-    if result != run_server_simulation(service_model, factory, config):
-        raise AssertionError(f"{name}: one-point lockstep diverged from the scalar runner")
     return {
         "governor": name,
         "utilization": utilization,

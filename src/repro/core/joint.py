@@ -105,9 +105,8 @@ def evaluate_operating_point(
     ``traffic`` must be the same flow set the consolidation routed —
     link utilizations (and hence network latencies) are computed from
     its actual demands.  This is :func:`evaluate_operating_points` on a
-    single point: the server runs on the lockstep engine, or on the
-    scalar simulator when the lockstep engine cannot represent the
-    governor (the clairvoyant oracle).
+    single point: the server runs on the lockstep engine, whatever the
+    governor.
     """
     (evaluation,) = evaluate_operating_points(
         workload,
@@ -169,9 +168,9 @@ def evaluate_operating_points(
     consolidation (and hence one network latency mixture, sampled
     through one pooled sampler).  Each point runs its own
     :func:`~repro.simfast.multipoint.run_multipoint_simulation` DES, and
-    each returned :class:`JointEvaluation` is bit-identical to a scalar
-    :func:`~repro.sim.runner.run_server_simulation` run of the same
-    point; results are in ``points`` order.
+    each returned :class:`JointEvaluation` is bit-identical to a
+    one-point :func:`~repro.sim.runner.run_server_simulation` run of the
+    same point; results are in ``points`` order.
     """
     from ..simfast.multipoint import MultipointPoint, run_multipoint_simulation
 

@@ -17,9 +17,8 @@ lives.
 
 Every server point runs through the lockstep engine, one point per
 call (``server-sim``, ``joint-eval``) or per profile grid point
-(``diurnal-profile``), TimeTrader included.  Points it cannot
-represent (the clairvoyant oracle, sleep models) fall back to the
-scalar simulator inside it.  No op takes an engine argument.
+(``diurnal-profile``), TimeTrader, the clairvoyant oracle and sleep
+models included.  No op takes an engine argument.
 """
 
 from __future__ import annotations
@@ -479,9 +478,8 @@ def server_sim_op(
     power-managed here" setup; the underlying consolidation solve is
     itself cache-shared with every other figure at the same traffic.
 
-    The point runs on the lockstep engine; a ``sleep`` model or
-    the clairvoyant oracle sends it to the scalar simulator instead.
-    VP governors fetch their tables from the process-wide
+    The point runs on the lockstep engine, under a ``sleep`` model
+    too.  VP governors fetch their tables from the process-wide
     :func:`repro.simfast.shared_table_engine` registry, so every
     server-sim task a warm worker executes for the same (service model,
     ladder) pair reuses one set of tables instead of rebuilding them

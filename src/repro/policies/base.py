@@ -13,11 +13,10 @@ schemes fair.
 
 Model-based governors (:class:`VPGovernor` subclasses) decide on the
 :mod:`repro.simfast` tables: precomputed VP rows answer a decision for
-the whole queue at all ladder frequencies at once.  Under the scalar
-simulator a VP governor decides from the core's
-:class:`QueueSnapshot`; the lockstep engine
-(:func:`repro.simfast.run_multipoint_simulation`), which prices every
-point it can represent, asks the same tables directly through
+the whole queue at all ladder frequencies at once.  Given a
+:class:`QueueSnapshot`, :meth:`VPGovernor.select_frequency` asks them;
+the DES (:func:`repro.simfast.run_multipoint_simulation`) asks the same
+tables directly through
 :meth:`~repro.simfast.tables.VPTableEngine.decide_point`.  The original
 per-request mixture evaluation they replace lives on as a test oracle
 (``tests/oracles/server.py``); ``tests/test_simfast_equivalence.py``

@@ -16,6 +16,7 @@ the resulting idle periods.  This model captures the sleep side:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -32,10 +33,14 @@ class SleepStateModel:
     wake_latency_s: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.sleep_watts < 0:
-            raise ConfigurationError("sleep power must be non-negative")
-        if self.entry_latency_s < 0 or self.wake_latency_s < 0:
-            raise ConfigurationError("sleep latencies must be non-negative")
+        # Negated, so NaN is rejected too; an infinite entry latency
+        # would silently never sleep.
+        for name in ("sleep_watts", "entry_latency_s", "wake_latency_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative, got {value}"
+                )
 
 
 #: PowerNap-style deep sleep: ~0.1 W residual draw, 1 ms transitions

@@ -1,25 +1,17 @@
-"""Discrete-event server simulation: engine, cores, servers, runner."""
+"""Server-simulation harness: run config and result, the one-point DES
+call, and the event engine the packet-level network simulator uses."""
 
-from .cluster import ClusterResult, ClusterSimulator
-from .core import CoreSimulator
 from .engine import EventHandle, EventLoop
-from .request import Request
 from .runner import (
     ServerSimConfig,
     ServerSimResult,
     constant_latency_sampler,
     run_server_simulation,
 )
-from .server import MultiCoreServer
 
 __all__ = [
     "EventLoop",
     "EventHandle",
-    "ClusterSimulator",
-    "ClusterResult",
-    "Request",
-    "CoreSimulator",
-    "MultiCoreServer",
     "ServerSimConfig",
     "ServerSimResult",
     "run_server_simulation",

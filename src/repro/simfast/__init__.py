@@ -9,19 +9,17 @@ joint sweep — into table lookups:
   gather over the whole queue at *all* ladder frequencies at once;
 * :func:`shared_table_engine` shares the tables process-wide so warm
   sweep workers never rebuild them;
-* :func:`run_multipoint_simulation`, the lockstep engine, runs each
-  point it is given through one per-core event loop over plain Python
-  floats, bit-identical per point to the scalar simulator.
+* :func:`run_multipoint_simulation`, the lockstep engine and the
+  package's only server DES, runs each point it is given through one
+  per-core event loop over plain Python floats.
 
-Every point the lockstep engine can represent runs on it; that
-includes TimeTrader, whose 5 s timer and completion window live in the
-per-core loop.  The scalar loop
-(:func:`repro.sim.runner.run_server_simulation`) keeps the clairvoyant
-oracle, sleep models and JSQ dispatch, and decides VP governors there
-from queue snapshots.  The per-request mixture
-evaluation the tables replace is the test oracle in
-``tests/oracles/server.py``; ``tests/test_simfast_equivalence.py``
-holds production to it.
+Every server point runs on it: VP and constant governors, TimeTrader
+(whose 5 s timer and completion window live in the per-core loop), the
+clairvoyant oracle (asked with queue snapshots) and PowerNap-family
+sleep models.  The event-heap loop it was derived from and the
+per-request mixture evaluation the tables replace are test oracles in
+``tests/oracles/server.py``; ``tests/test_multipoint.py`` and
+``tests/test_simfast_equivalence.py`` hold production to them.
 """
 
 from .multipoint import MultipointPoint, run_multipoint_simulation

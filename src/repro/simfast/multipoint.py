@@ -1,44 +1,61 @@
 """Lockstep DES: one point, one event loop per core, plain Python floats.
 
 The paper prices every operating point by scaling one representative
-server's DES run.  ``run_multipoint_simulation`` runs that DES for a
-list of points, each on its own: it extracts the point's workload
-trace once (replicating :func:`~repro.sim.runner.run_server_simulation`'s
-RNG consumption draw for draw), precomputes the point's deadlines, and
+server's DES run.  ``run_multipoint_simulation`` is that DES, the only
+one in the package.  It runs a list of points, each on its own: it
+extracts the point's workload trace once (the Poisson arrivals, works
+and latencies of :func:`~repro.sim.runner.run_server_simulation`'s
+RNG streams, draw for draw), precomputes the point's deadlines, and
 advances each core through its share of the trace in one loop over
 scalar state — the queue and its deadlines as lists, progress,
 frequency, completion time and the meter integrals as floats.
 
-A VP governor decides through
-:meth:`~repro.simfast.tables.VPTableEngine.decide_point`; the constant
-governor applies ``f_max``.  TimeTrader applies its core governor's
-current frequency, feeds every completion to ``on_complete`` and fires
-its periodic ``on_timer`` tick (then, on a busy core, a sync and a
-non-forced re-decision) exactly as the scalar loop's periodic event
-does — ticks at a phase end included, like every event there.  Other
-governors carry no timer, which costs their events one comparison.
+A core's governor decides in one of four ways, picked once per point:
 
-The hard contract is bit-identical per-point results: every float op
-below mirrors the scalar simulator's op order (see
-``tests/test_multipoint.py``), and Python float arithmetic is the same
-IEEE double arithmetic as NumPy's.  Points this engine cannot
-represent (the clairvoyant oracle, sleep models, JSQ dispatch)
-transparently fall back to scalar
-:func:`~repro.sim.runner.run_server_simulation` runs — correct, just
-not accelerated.
+* a VP governor through
+  :meth:`~repro.simfast.tables.VPTableEngine.decide_point`;
+* the constant governor (no power management) applies ``f_max``;
+* TimeTrader applies its core governor's current frequency;
+* any other governor (today the clairvoyant oracle) is asked through
+  :meth:`~repro.policies.base.Governor.select_frequency` with the
+  core's :class:`~repro.policies.base.QueueSnapshot`.
 
-Tie-breaking: an arrival and a completion landing on the *exact* same
-float timestamp fire completion-first here.  In the scalar loop the
-ordering follows heap sequence numbers and is completion-first in every
-reachable schedule except a measure-zero float coincidence (a
-completion rescheduled by an unrelated core event colliding bitwise
-with a pre-scheduled arrival), which fixed-seed equivalence tests
-would surface.  A timer tick tied with an arrival or a completion
-fires first here.  The scalar loop schedules each tick a full period
-(5 s) ahead, so the tick holds the lower sequence number unless the
-tied arrival's inter-arrival gap, or the time since the tied
-completion's last frequency decision, is longer than the period — on
-top of the bitwise tie itself being a measure-zero coincidence.
+The last two are fed every completion through ``on_complete`` and, if
+they carry a timer, fire ``on_timer`` every period (then, on a busy
+core, a sync and a non-forced re-decision) — ticks at a phase end
+included.  An optional sleep model (PowerNap family) adds a per-core
+idle → entry → asleep → wake state machine: a completion onto an empty
+queue arms the entry, an arrival cancels a pending entry, an arrival
+on a sleeping core starts a wake at idle power, arrivals during a wake
+only queue, and the wake's end starts service with a forced decision.
+The timer tick and the pending sleep event share one "next auxiliary
+event" slot, so a point with neither pays at most one comparison per
+event for them.
+
+The hard contract is bit-identical results against the event-heap
+reference loop in ``tests/oracles/server.py``: every float op below
+mirrors its op order (see ``tests/test_multipoint.py``), and Python
+float arithmetic is the same IEEE double arithmetic as NumPy's.
+
+Tie-breaking, for events landing on the *exact* same float timestamp:
+a timer tick fires first, then a sleep event, then a completion, then
+an arrival.  The reference loop orders ties by heap sequence number,
+and these rules match it in every reachable schedule but measure-zero
+float coincidences, which fixed-seed equivalence tests would surface:
+
+* completion before arrival — a tie needs a completion rescheduled by
+  an unrelated event to collide bitwise with a pre-scheduled arrival;
+* a tick before an arrival or a completion — the reference schedules
+  each tick a full period (5 s) ahead, so the tick holds the lower
+  sequence number unless the tied arrival's inter-arrival gap, or the
+  time since the tied completion's last frequency decision, is longer
+  than the period;
+* a tick before a sleep event — likewise, unless the entry or wake was
+  armed more than a period before it lands;
+* a sleep event before an arrival — a wake's end is scheduled by the
+  arrival that starts it, before the next arrival is, so it always
+  wins (a zero wake latency makes this tie structural); a sleep entry
+  tied with an arrival is a float coincidence.
 """
 
 from __future__ import annotations
@@ -57,15 +74,18 @@ __all__ = ["MultipointPoint", "run_multipoint_simulation"]
 
 _INF = float("inf")
 
+# A core's sleep states (see the module docstring).
+_AWAKE, _ENTRY, _ASLEEP, _WAKING = 0, 1, 2, 3
+
 
 @dataclass(frozen=True)
 class MultipointPoint:
     """One server point of a :func:`run_multipoint_simulation` call.
 
-    ``governor_factory()`` must be stateless (return an equivalent
-    fresh governor on every call): the engine probes one instance for
-    classification and may call the factory again on the scalar
-    fallback path.
+    ``governor_factory()`` must return a fresh governor per call: the
+    first one made is probed for its kind and serves core 0, and a
+    governor that keeps per-core state (TimeTrader, the oracle) gets
+    one more per further core.
     """
 
     config: object  # ServerSimConfig (imported lazily to avoid a cycle)
@@ -98,25 +118,32 @@ class _Memo(dict):
 # -- the per-core loop --------------------------------------------------------------
 
 
-def _run_core(arr, work, gd, hook, policy, warmup, duration, speed, active_power,
-              idle_watts, stats):
-    """Advance one core through its arrivals, mirroring ``CoreSimulator``.
+def _run_core(arr, work, gd, hook, policy, nap_model, warmup, duration, speed,
+              active_power, idle_watts, stats):
+    """Advance one core through its arrivals.
 
     ``arr``/``work``/``gd`` are this core's arrival times, works and
     governor deadlines as Python lists.  ``policy`` is ``(f_const,
-    tables, mode, target_vp, reorders, gov)``: a VP point sets
-    ``tables``, TimeTrader sets ``gov`` and passes ``hook = (net, rep,
-    dl)`` lists for its completion window, a constant point neither.
+    tables, mode, target_vp, reorders, gov, snapshot)``: a VP point
+    sets ``tables``, a constant point ``f_const``; TimeTrader sets
+    ``gov``, and a snapshot governor sets ``gov`` and ``snapshot``.
+    Both governor kinds pass ``hook = (net, rep, dl)`` lists for
+    ``on_complete``.  ``nap_model`` is the sleep model or ``None``.
 
     Returns the completions as two lists (local indices, finish times)
     plus the busy fraction, busy-weighted mean frequency and average
-    power over the measured window, read in the scalar runner's order.
+    power over the measured window, read in the reference loop's order.
     """
-    f_const, tables, mode, target_vp, reorders, gov = policy
+    from ..policies.base import QueueSnapshot
+
+    f_const, tables, mode, target_vp, reorders, gov, snapshot = policy
+    # VP and snapshot governors see the queued deadlines, in EDF order
+    # when the governor reorders.
+    track = tables is not None or snapshot
     n_arr = len(arr)
     ptr = 0
     queue: list[int] = []  # waiting requests (local indices), service order
-    qdl: list[float] = []  # their governor deadlines (VP points only)
+    qdl: list[float] = []  # their governor deadlines (tracked kinds only)
     svc = None  # in-service local index
     svc_gd = 0.0
     remaining = 0.0
@@ -129,9 +156,14 @@ def _run_core(arr, work, gd, hook, policy, warmup, duration, speed, active_power
     energy = 0.0
     busy = 0.0
     wfreq = 0.0
-    # The scalar loop arms the first tick one period after t = 0.
-    period = _INF if gov is None else gov.timer_period_s
+    # The reference arms the first tick one period after t = 0.
+    period = _INF if gov is None or gov.timer_period_s is None else gov.timer_period_s
     t_timer = period
+    # Sleep state: _AWAKE, _ENTRY (entry pending at t_nap), _ASLEEP or
+    # _WAKING (wake ends at t_nap).  t_aux = min(t_timer, t_nap).
+    nap = _AWAKE
+    t_nap = _INF
+    t_aux = t_timer
     done_idx: list[int] = []
     done_fin: list[float] = []
     n_events = n_decisions = 0
@@ -139,8 +171,8 @@ def _run_core(arr, work, gd, hook, policy, warmup, duration, speed, active_power
     in_warmup = True
     while True:
         t_arr = arr[ptr] if ptr < n_arr else _INF
-        if t_timer <= t_arr and t_timer <= completion:
-            now, event = t_timer, 0
+        if t_aux <= t_arr and t_aux <= completion:
+            now, event = t_aux, 0
         elif completion <= t_arr:
             now, event = completion, 1
         else:
@@ -174,11 +206,25 @@ def _run_core(arr, work, gd, hook, policy, warmup, duration, speed, active_power
             energy += power * (now - mtime)
             mtime = now
         if event == 0:
-            t_timer = now + period
-            gov.on_timer(now)
-            if svc is None:
-                continue
-            force = False
+            if t_timer <= t_nap:
+                t_timer = now + period
+                t_aux = t_timer if t_timer <= t_nap else t_nap
+                gov.on_timer(now)
+                if svc is None:
+                    continue
+                force = False
+            else:
+                t_nap = _INF
+                t_aux = t_timer
+                if nap == _ENTRY:
+                    nap = _ASLEEP
+                    energy += power * (now - mtime)
+                    mtime = now
+                    power = nap_model.sleep_watts
+                    continue
+                # The wake ends: serve the queue that woke the core.
+                nap = _AWAKE
+                force = True
         elif event == 1:
             remaining = 0.0
             done_idx.append(svc)
@@ -195,12 +241,16 @@ def _run_core(arr, work, gd, hook, policy, warmup, duration, speed, active_power
                 energy += power * (now - mtime)
                 mtime = now
                 power = idle_watts
+                if nap_model is not None:
+                    nap = _ENTRY
+                    t_nap = now + nap_model.entry_latency_s
+                    t_aux = t_timer if t_timer <= t_nap else t_nap
                 continue
             force = True
         else:
             j = ptr
             ptr += 1
-            if tables is None:
+            if not track:
                 queue.append(j)
             else:
                 nv = gd[j]
@@ -209,9 +259,25 @@ def _run_core(arr, work, gd, hook, policy, warmup, duration, speed, active_power
                 qdl.insert(pos, nv)
                 queue.insert(pos, j)
             force = svc is None
+            if force and nap:
+                if nap == _WAKING:
+                    continue
+                t_nap = _INF
+                t_aux = t_timer
+                if nap == _ASLEEP:
+                    # The wake itself draws idle power.
+                    nap = _WAKING
+                    energy += power * (now - mtime)
+                    mtime = now
+                    power = idle_watts
+                    t_nap = now + nap_model.wake_latency_s
+                    t_aux = t_timer if t_timer <= t_nap else t_nap
+                    continue
+                # A pending entry is cancelled; no wake penalty yet.
+                nap = _AWAKE
         if svc is None:
             svc = queue.pop(0)
-            if tables is not None:
+            if track:
                 svc_gd = qdl.pop(0)
             remaining = work[svc]
             started_at = now
@@ -222,9 +288,18 @@ def _run_core(arr, work, gd, hook, policy, warmup, duration, speed, active_power
             f = tables.decide_point(deltas, offset, mode, target_vp)
             n_decisions += 1
         elif gov is not None:
-            # TimeTrader's select_frequency ignores the snapshot and
-            # returns its current frequency, so no snapshot is built.
-            f = gov.current_frequency
+            if snapshot:
+                f = gov.select_frequency(QueueSnapshot(
+                    now=now,
+                    in_service_completed_work=work[svc] - remaining,
+                    in_service_deadline=svc_gd,
+                    queued_deadlines=tuple(qdl),
+                    actual_remaining_works=(remaining, *[work[q] for q in queue]),
+                ))
+            else:
+                # TimeTrader's select_frequency ignores the snapshot and
+                # returns its current frequency, so none is built.
+                f = gov.current_frequency
         else:
             f = f_const
         if force or not abs(f - frequency) < 1e-6:
@@ -234,9 +309,9 @@ def _run_core(arr, work, gd, hook, policy, warmup, duration, speed, active_power
             power = active_power[f]
             completion = now + remaining * speed[f]
 
-    # Scalar read order: busy_fraction and the busy-weighted frequency
-    # are materialized *before* cpu_power()'s final sync folds the tail
-    # segment in (only its energy term is read afterwards).
+    # Reference read order: busy_fraction and the busy-weighted
+    # frequency are materialized *before* cpu_power()'s final sync
+    # folds the tail segment in (only its energy term is read after).
     busy_frac = busy / (duration - warmup)
     mean_freq = wfreq / busy if busy > 0 else 0.0
     energy += power * (duration - mtime)
@@ -250,13 +325,15 @@ def _run_core(arr, work, gd, hook, policy, warmup, duration, speed, active_power
 
 def _extract_trace(service_model, cfg, network_latency_sampler,
                    reply_latency_sampler):
-    """Replicate the scalar runner's RNG consumption, draw for draw.
+    """Draw one point's workload trace and dispatch it to cores.
 
-    The scalar runner refills four buffers per 4096-arrival chunk in
-    the order netlat → replat → gaps → work, schedules the first
-    arrival after ``gaps[0]``, and has arrival ``j`` (rid ``j``) read
-    flat index ``j + 1``.  ``np.cumsum`` over the concatenated gaps is
-    the same sequential float accumulation as the event clock.
+    Four buffers are drawn per 4096-arrival chunk in the order netlat →
+    replat → gaps → work; the first arrival comes after ``gaps[0]``,
+    and arrival ``j`` (rid ``j``) reads flat index ``j + 1``.  The
+    event-heap reference in ``tests/oracles/server.py`` draws the same
+    streams chunk by chunk as its clock advances; ``np.cumsum`` over
+    the concatenated gaps is the same sequential float accumulation as
+    its event clock.
     """
     from ..sim.runner import constant_latency_sampler
 
@@ -276,8 +353,12 @@ def _extract_trace(service_model, cfg, network_latency_sampler,
             replat = np.asarray(reply_latency_sampler(chunk, latency_rng), dtype=float)
         else:
             replat = np.zeros(chunk)
-        if np.any(netlat < 0) or np.any(replat < 0):
-            raise ConfigurationError("network latency sampler returned negative values")
+        # Both comparisons are false for NaN, so it is rejected too.
+        if not (((netlat >= 0) & (netlat < _INF)).all()
+                and ((replat >= 0) & (replat < _INF)).all()):
+            raise ConfigurationError(
+                "network latency sampler returned negative or non-finite values"
+            )
         gaps = arrival_rng.exponential(1.0 / rate, size=chunk)
         work = np.asarray(service_model.sample_work(chunk, work_rng), dtype=float)
         net_parts.append(netlat)
@@ -305,47 +386,40 @@ def _extract_trace(service_model, cfg, network_latency_sampler,
     return _Trace(arrival=arrivals, work=work, netrep=net + rep, core=core), net, rep
 
 
-# -- classification -----------------------------------------------------------------
+# -- one point ----------------------------------------------------------------------
 
 
-def _classify(probe, sleep_model, dispatch):
-    """True when the lockstep engine reproduces this point exactly.
-
-    Lockstep prices the constant, VP-table and TimeTrader governors on
-    per-core dispatch without a sleep model; the scalar loop keeps
-    every other timer or completion-hook governor (the clairvoyant
-    oracle reads true work), sleep models and JSQ dispatch.
-    """
+def _policy(probe):
+    """``_run_core``'s policy tuple for ``probe``'s kind, minus the
+    per-core governor, and whether each core needs its own governor."""
     from ..policies.base import Governor, VPGovernor
     from ..policies.maxfreq import MaxFrequencyGovernor
     from ..policies.timetrader import TimeTraderGovernor
 
-    if sleep_model is not None or dispatch == "jsq":
-        return False
     if isinstance(probe, TimeTraderGovernor):
-        return True
-    if type(probe).timer_period_s is not None:
-        return False
-    if type(probe).on_complete is not Governor.on_complete:
-        return False
-    return isinstance(probe, (MaxFrequencyGovernor, VPGovernor))
-
-
-# -- one point ----------------------------------------------------------------------
+        return (None, None, None, None, False), False, True
+    # A timer or a completion hook needs the governor itself.
+    plain = (probe.timer_period_s is None
+             and type(probe).on_complete is Governor.on_complete)
+    if plain and isinstance(probe, MaxFrequencyGovernor):
+        return (float(probe.ladder.f_max), None, None, None, False), False, False
+    if plain and isinstance(probe, VPGovernor):
+        return ((None, probe._tables, probe.vp_mode, probe.target_vp,
+                 probe.reorders_queue), False, False)
+    return (None, None, None, None, probe.reorders_queue), True, True
 
 
 def _simulate_point(service_model, point, probe, network_latency_sampler,
-                    reply_latency_sampler, speed, active_power, idle_watts, stats):
-    """One supported point's :class:`~repro.sim.runner.ServerSimResult`."""
-    from ..policies.maxfreq import MaxFrequencyGovernor
-    from ..policies.timetrader import TimeTraderGovernor
+                    sleep_model, reply_latency_sampler, speed, active_power,
+                    idle_watts, stats):
+    """One point's :class:`~repro.sim.runner.ServerSimResult`."""
     from ..sim.runner import ServerSimResult
 
     cfg = point.config
     trace, net, rep = _extract_trace(
         service_model, cfg, network_latency_sampler, reply_latency_sampler
     )
-    # Deadlines, scalar op order:
+    # Deadlines, reference op order:
     #   deadline         = ((T + L) - net) - rep
     #   governor (aware) = (T + L) - net
     #   governor (obliv) = T + server_budget
@@ -353,15 +427,7 @@ def _simulate_point(service_model, point, probe, network_latency_sampler,
     dl = (tl - net) - rep
     gd = tl - net if probe.network_aware else trace.arrival + cfg.server_budget_s
 
-    feedback = isinstance(probe, TimeTraderGovernor)
-    if isinstance(probe, MaxFrequencyGovernor):
-        base_policy = (float(probe.ladder.f_max), None, None, None, False)
-    elif feedback:
-        base_policy = (None, None, None, None, False)
-    else:
-        base_policy = (None, probe._tables, probe.vp_mode, probe.target_vp,
-                       probe.reorders_queue)
-
+    base_policy, snapshot, per_core = _policy(probe)
     warmup, duration = cfg.warmup_s, cfg.duration_s
     done_ids, done_fin = [], []
     core_busy = np.empty(cfg.n_cores)
@@ -370,15 +436,15 @@ def _simulate_point(service_model, point, probe, network_latency_sampler,
     for c in range(cfg.n_cores):
         ids = np.flatnonzero(trace.core == c)
         gov = hook = None
-        if feedback:
-            # As in the scalar loop: the probe serves core 0, the
-            # factory makes every other core's governor.
+        if per_core:
+            # The probe serves core 0, the factory makes every other
+            # core's governor.
             gov = probe if c == 0 else point.governor_factory()
             hook = (net[ids].tolist(), rep[ids].tolist(), dl[ids].tolist())
         idx, fin, core_busy[c], core_freq[c], core_power[c] = _run_core(
             trace.arrival[ids].tolist(), trace.work[ids].tolist(), gd[ids].tolist(),
-            hook, (*base_policy, gov), warmup, duration, speed, active_power,
-            idle_watts, stats,
+            hook, (*base_policy, gov, snapshot), sleep_model, warmup, duration,
+            speed, active_power, idle_watts, stats,
         )
         done_ids.append(ids[idx])
         done_fin.append(np.array(fin))
@@ -431,39 +497,23 @@ def run_multipoint_simulation(
     """Simulate every point, each on its own.
 
     Returns one :class:`~repro.sim.runner.ServerSimResult` per point,
-    in input order, each bit-identical to
-    :func:`~repro.sim.runner.run_server_simulation` of the same point.
-    Points may differ in any config field.  Points the lockstep engine
-    cannot represent run through the scalar simulator transparently.
+    in input order.  Points may differ in any config field; a
+    ``sleep_model`` applies to every core of every point.
     """
     from ..power.models import CorePowerModel
-    from ..sim.runner import run_server_simulation
 
-    stats = {"n_events": 0, "n_decisions": 0, "n_fallback": 0}
+    stats = {"n_events": 0, "n_decisions": 0}
     power_model = CorePowerModel()
     speed = _Memo(service_model.frequency_model.speed_factor)
     active_power = _Memo(power_model.active_power)
-    results = []
-    for point in points:
-        probe = point.governor_factory()
-        if _classify(probe, sleep_model, point.config.dispatch):
-            results.append(_simulate_point(
-                service_model, point, probe, network_latency_sampler,
-                reply_latency_sampler, speed, active_power, power_model.idle_watts,
-                stats,
-            ))
-            continue
-        stats["n_fallback"] += 1
-        results.append(run_server_simulation(
-            service_model,
-            point.governor_factory,
-            point.config,
-            network_latency_sampler=network_latency_sampler,
-            governor_name=point.governor_name,
-            sleep_model=sleep_model,
-            reply_latency_sampler=reply_latency_sampler,
-        ))
-
+    results = [
+        _simulate_point(
+            service_model, point, point.governor_factory(), network_latency_sampler,
+            sleep_model, reply_latency_sampler, speed, active_power,
+            power_model.idle_watts, stats,
+        )
+        for point in points
+    ]
     if stats_out is not None:
         stats_out.update(stats)
         stats_out["n_points"] = len(points)

@@ -7,7 +7,8 @@ import pytest
 from repro.netsim import mg1_mean_wait
 from repro.policies import MaxFrequencyGovernor
 from repro.server import XEON_LADDER, default_service_model
-from repro.sim import CoreSimulator, EventLoop, Request
+from repro.sim import EventLoop
+from tests.oracles.server import CoreSimulator, Request
 from repro.units import GHZ
 
 

@@ -5,7 +5,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.policies import MaxFrequencyGovernor
 from repro.server import XEON_LADDER
-from repro.sim import EventLoop, MultiCoreServer, Request
+from repro.sim import EventLoop
+from tests.oracles.server import MultiCoreServer, Request
 
 
 def make(service_model, n_cores=3, **kw):

@@ -1,12 +1,14 @@
-"""Lockstep engine: bit-identical to per-point scalar runs.
+"""Lockstep engine: bit-identical to the event-heap reference loop.
 
 ``repro.simfast.multipoint`` runs each point of a list through its own
 per-core event loops; its hard contract is that every per-point result
-equals the scalar ``run_server_simulation`` with ``==`` on floats — no
-tolerance.  These tests pin that contract on single points, fixed and
-mixed point lists, randomized lists, the fig. 12 golden digests, the
-scalar-fallback paths and the joint plural API, and check that every
-production entry runs one lockstep point per sweep task.
+equals the reference ``scalar_server_simulation`` in
+``tests/oracles/server.py`` with ``==`` on floats — no tolerance.
+These tests pin that contract on single points, fixed and mixed point
+lists, randomized lists, the fig. 12 golden digests, TimeTrader's
+timer, the clairvoyant oracle, PowerNap sleep and the joint plural
+API, and check that every production entry runs one lockstep point per
+sweep task.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.policies import (
     TimeTraderGovernor,
 )
 from repro.netsim.network import NetworkModel
-from repro.power.sleep import POWERNAP_SLEEP
+from repro.power.sleep import POWERNAP_SLEEP, SleepStateModel
 from repro.server import XEON_LADDER
 from repro.sim.runner import (
     ServerSimConfig,
@@ -50,6 +52,8 @@ from repro.simfast import MultipointPoint, run_multipoint_simulation
 from repro.topology import aggregation_policy
 from repro.workloads import SearchWorkload
 
+from benchmarks import bench_server
+from tests.oracles.server import scalar_server_simulation
 from tests.test_simfast_equivalence import FIG12_POINT_DIGESTS, result_digest
 
 VP_GOVERNORS = (
@@ -80,7 +84,7 @@ def _factory(governor_cls, service_model, ladder):
 
 
 def _scalar(service_model, factory, config, **kwargs):
-    return run_server_simulation(service_model, factory, config, **kwargs)
+    return scalar_server_simulation(service_model, factory, config, **kwargs)
 
 
 def _one_point(service_model, factory, config):
@@ -118,7 +122,6 @@ def test_constraint_grid_matches_scalar(service_model, ladder):
     stats: dict = {}
     grid = run_multipoint_simulation(service_model, points, stats_out=stats)
     assert stats["n_points"] == 8
-    assert stats["n_fallback"] == 0
     assert stats["n_decisions"] > 0
     for L, result in zip(constraints, grid):
         assert result == _scalar(service_model, factory, _config(float(L)))
@@ -139,9 +142,7 @@ def test_mixed_governor_grid_matches_scalar(service_model, ladder):
         )
         for cls, L in cells
     ]
-    stats: dict = {}
-    grid = run_multipoint_simulation(service_model, points, stats_out=stats)
-    assert stats["n_fallback"] == 0
+    grid = run_multipoint_simulation(service_model, points)
     for (cls, L), result in zip(cells, grid):
         factory = _factory(cls, service_model, ladder)
         assert result == _scalar(service_model, factory, _config(L))
@@ -182,9 +183,11 @@ _FIG12_CONFIG = ServerSimConfig(
 )
 
 
-def _fig12_factory(name, service_model, ladder):
+def _governor_factory(name, service_model, ladder, constraint_s=30e-3):
     if name == "timetrader":
-        return lambda: TimeTraderGovernor(ladder, _FIG12_CONFIG.latency_constraint_s)
+        return _timetrader(ladder, constraint_s)
+    if name == "oracle":
+        return lambda: OracleGovernor(service_model.frequency_model, ladder)
     cls = {
         "rubik": RubikGovernor,
         "eprons-server": EpronsServerGovernor,
@@ -193,21 +196,35 @@ def _fig12_factory(name, service_model, ladder):
     return _factory(cls, service_model, ladder)
 
 
+def _fig12_point(name, service_model, ladder):
+    """``(factory, config, kwargs)`` of a digest name such as
+    ``"eprons-server+powernap+round-robin"``: a governor, optionally
+    PowerNap sleep and round-robin dispatch, at the fig. 12 point."""
+    governor, *extras = name.split("+")
+    config = _FIG12_CONFIG
+    if "round-robin" in extras:
+        config = ServerSimConfig(**{**vars(config), "dispatch": "round-robin"})
+    kwargs = {"sleep_model": POWERNAP_SLEEP} if "powernap" in extras else {}
+    return _governor_factory(governor, service_model, ladder), config, kwargs
+
+
 @pytest.mark.parametrize("name", sorted(FIG12_POINT_DIGESTS))
 def test_fig12_point_golden_hash_multipoint(name, service_model, ladder):
-    result = _one_point(
-        service_model, _fig12_factory(name, service_model, ladder), _FIG12_CONFIG
+    factory, config, kwargs = _fig12_point(name, service_model, ladder)
+    (result,) = run_multipoint_simulation(
+        service_model, [MultipointPoint(config=config, governor_factory=factory)],
+        **kwargs,
     )
     assert result_digest(result) == FIG12_POINT_DIGESTS[name]
+    assert run_server_simulation(service_model, factory, config, **kwargs) == result
 
 
-@pytest.mark.parametrize("name", ["timetrader", "no-pm"])
+@pytest.mark.parametrize("name", sorted(FIG12_POINT_DIGESTS))
 def test_fig12_point_golden_hash_scalar(name, service_model, ladder):
-    """The scalar loop, the oracle the lockstep engine is held to,
-    reproduces the timer and constant digests too."""
-    result = run_server_simulation(
-        service_model, _fig12_factory(name, service_model, ladder), _FIG12_CONFIG
-    )
+    """The reference loop the lockstep engine is held to reproduces
+    every digest too."""
+    factory, config, kwargs = _fig12_point(name, service_model, ladder)
+    result = _scalar(service_model, factory, config, **kwargs)
     assert result_digest(result) == FIG12_POINT_DIGESTS[name]
 
 
@@ -300,12 +317,10 @@ def test_timetrader_lockstep_matches_scalar(
     )
     factory = _timetrader(ladder)
     kwargs = {"reply_latency_sampler": _reply_sampler} if reply else {}
-    stats: dict = {}
     (result,) = run_multipoint_simulation(
         service_model, [MultipointPoint(config=config, governor_factory=factory)],
-        stats_out=stats, **kwargs,
+        **kwargs,
     )
-    assert stats["n_fallback"] == 0
     assert result == _scalar(service_model, factory, config, **kwargs)
 
 
@@ -346,7 +361,7 @@ def test_timetrader_hooks_replay_the_scalar_loop(service_model, ladder):
         )],
         reply_latency_sampler=_reply_sampler,
     )
-    expected = run_server_simulation(
+    expected = _scalar(
         service_model, _recording_timetrader(ladder, 30e-3, scalar_logs), config,
         reply_latency_sampler=_reply_sampler,
     )
@@ -362,7 +377,7 @@ def test_timetrader_hooks_replay_the_scalar_loop(service_model, ladder):
 
 def test_timetrader_mixed_grid_runs_lockstep(service_model, ladder):
     """TimeTrader at two constraints in one list with VP and constant
-    points; nothing falls back."""
+    points."""
     constraints = (25e-3, 35e-3)
     entries = [
         (_config(L), _timetrader(ladder, L)) for L in constraints
@@ -370,68 +385,158 @@ def test_timetrader_mixed_grid_runs_lockstep(service_model, ladder):
         (_config(30e-3), _factory(EpronsServerGovernor, service_model, ladder)),
         (_config(30e-3), _factory(MaxFrequencyGovernor, service_model, ladder)),
     ]
-    stats: dict = {}
     grid = run_multipoint_simulation(
         service_model,
         [MultipointPoint(config=cfg, governor_factory=f) for cfg, f in entries],
-        stats_out=stats,
     )
-    assert stats["n_fallback"] == 0
     for (cfg, factory), result in zip(entries, grid):
         assert result == _scalar(service_model, factory, cfg)
 
 
-# -- scalar fallback ---------------------------------------------------------------
+# -- clairvoyant oracle and PowerNap sleep ----------------------------------------
 
 
-def test_feedback_governor_falls_back_to_scalar(service_model, ladder):
-    """The clairvoyant oracle reads true remaining work, which the
-    lockstep engine does not model — it routes the point through the
-    scalar simulator, mixed freely with lockstep points."""
+def test_oracle_mixed_grid_runs_lockstep(service_model, ladder):
+    """The clairvoyant oracle decides from queue snapshots with true
+    remaining works, mixed freely with table points in one list."""
     config = _config()
-    oracle = lambda: OracleGovernor(service_model.frequency_model, ladder)  # noqa: E731
+    oracle = _governor_factory("oracle", service_model, ladder)
     epr = _factory(EpronsServerGovernor, service_model, ladder)
-    stats: dict = {}
     grid = run_multipoint_simulation(
         service_model,
         [
             MultipointPoint(config=config, governor_factory=oracle),
             MultipointPoint(config=config, governor_factory=epr),
         ],
-        stats_out=stats,
     )
-    assert stats["n_fallback"] == 1
-    assert grid[0] == run_server_simulation(service_model, oracle, config)
+    assert grid[0] == _scalar(service_model, oracle, config)
     assert grid[1] == _scalar(service_model, epr, config)
+    assert grid[0].cpu_power_watts < grid[1].cpu_power_watts
 
 
-def test_sleep_model_falls_back_to_scalar(service_model, ladder):
+def test_sleep_model_runs_lockstep(service_model, ladder):
     config = _config(utilization=0.25)
     factory = _factory(EpronsServerGovernor, service_model, ladder)
-    stats: dict = {}
-    grid = run_multipoint_simulation(
+    (result,) = run_multipoint_simulation(
         service_model,
         [MultipointPoint(config=config, governor_factory=factory)],
         sleep_model=POWERNAP_SLEEP,
-        stats_out=stats,
     )
-    assert stats["n_fallback"] == 1
-    assert grid[0] == _scalar(
-        service_model, factory, config, sleep_model=POWERNAP_SLEEP
-    )
+    assert result == _scalar(service_model, factory, config, sleep_model=POWERNAP_SLEEP)
+    awake = _one_point(service_model, factory, config)
+    assert result.cpu_power_watts < awake.cpu_power_watts
 
 
-def test_jsq_dispatch_falls_back_to_scalar(service_model, ladder):
-    config = _config(dispatch="jsq")
-    factory = _factory(EpronsServerGovernor, service_model, ladder)
-    stats: dict = {}
-    grid = run_multipoint_simulation(
-        service_model,
-        [MultipointPoint(config=config, governor_factory=factory)],
-        stats_out=stats,
+def test_jsq_dispatch_rejected():
+    with pytest.raises(ConfigurationError, match="dispatch"):
+        _config(dispatch="jsq")
+
+
+#: Sleep models with the structural edge cases: zero entry and wake
+#: latency, and a wake as long as a typical service.
+_SLEEP_MODELS = {
+    "powernap": POWERNAP_SLEEP,
+    "instant": SleepStateModel(sleep_watts=0.0, entry_latency_s=0.0, wake_latency_s=0.0),
+    "slow-wake": SleepStateModel(sleep_watts=0.5, entry_latency_s=5e-4, wake_latency_s=4e-3),
+}
+
+#: A pairwise cover of governor × sleep model × seed × n_cores ×
+#: utilization × reply sampler × dispatch (every pair of values meets
+#: in some row); "none" rows price the oracle without sleep.
+_SLEEP_CASES = [
+    ("oracle", "none", 0, 1, 0.1, False, "random"),
+    ("oracle", "powernap", 5, 3, 0.6, True, "round-robin"),
+    ("oracle", "instant", 5, 1, 0.35, True, "random"),
+    ("oracle", "slow-wake", 0, 3, 0.1, False, "round-robin"),
+    ("oracle", "none", 5, 3, 0.6, True, "random"),
+    ("no-pm", "powernap", 0, 1, 0.35, False, "round-robin"),
+    ("no-pm", "instant", 5, 3, 0.1, True, "round-robin"),
+    ("no-pm", "slow-wake", 5, 1, 0.6, True, "random"),
+    ("rubik", "powernap", 5, 1, 0.1, True, "random"),
+    ("rubik", "instant", 0, 3, 0.6, False, "random"),
+    ("rubik", "slow-wake", 0, 3, 0.35, True, "round-robin"),
+    ("eprons-server", "powernap", 0, 3, 0.35, True, "random"),
+    ("eprons-server", "instant", 0, 1, 0.6, False, "round-robin"),
+    ("eprons-server", "slow-wake", 5, 3, 0.1, False, "random"),
+    ("timetrader", "powernap", 5, 3, 0.1, False, "round-robin"),
+    ("timetrader", "instant", 5, 1, 0.35, False, "random"),
+    ("timetrader", "slow-wake", 0, 1, 0.6, True, "round-robin"),
+]
+
+
+@pytest.mark.parametrize(
+    "governor,sleep,seed,n_cores,utilization,reply,dispatch",
+    _SLEEP_CASES,
+    ids=[
+        f"{c[0]}-{c[1]}-s{c[2]}-c{c[3]}-u{c[4]}-{'reply' if c[5] else 'noreply'}-{c[6]}"
+        for c in _SLEEP_CASES
+    ],
+)
+def test_oracle_and_sleep_lockstep_match_scalar(
+    service_model, ladder, governor, sleep, seed, n_cores, utilization, reply, dispatch
+):
+    """The oracle's snapshot decisions and the sleep state machine,
+    under every governor kind, replay the reference loop bit for bit.
+    TimeTrader rows span two ticks, one of them in the warmup."""
+    config = _config(
+        utilization=utilization, n_cores=n_cores, duration_s=11.0, warmup_s=3.0,
+        seed=seed, dispatch=dispatch,
     )
-    assert stats["n_fallback"] == 1
-    assert grid[0] == _scalar(service_model, factory, config)
+    factory = _governor_factory(governor, service_model, ladder)
+    kwargs = {"reply_latency_sampler": _reply_sampler} if reply else {}
+    if sleep != "none":
+        kwargs["sleep_model"] = _SLEEP_MODELS[sleep]
+    (result,) = run_multipoint_simulation(
+        service_model, [MultipointPoint(config=config, governor_factory=factory)],
+        **kwargs,
+    )
+    assert result == _scalar(service_model, factory, config, **kwargs)
+
+
+_finite_latency = st.floats(0.0, 5e-3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_random_sleep_points_match_scalar(data, service_model, ladder):
+    governor = data.draw(
+        st.sampled_from(("oracle", "no-pm", "eprons-server", "timetrader")),
+        label="governor",
+    )
+    sleep = data.draw(
+        st.builds(
+            SleepStateModel,
+            sleep_watts=st.floats(0.0, 1.0, allow_nan=False),
+            entry_latency_s=_finite_latency,
+            wake_latency_s=_finite_latency,
+        ),
+        label="sleep",
+    )
+    config = _config(
+        utilization=data.draw(st.sampled_from((0.1, 0.3, 0.6)), label="utilization"),
+        n_cores=data.draw(st.integers(1, 3), label="n_cores"),
+        duration_s=6.0,
+        warmup_s=data.draw(st.sampled_from((0.0, 1.0, 5.0)), label="warmup"),
+        seed=data.draw(st.integers(0, 6), label="seed"),
+        dispatch=data.draw(st.sampled_from(("random", "round-robin")), label="dispatch"),
+    )
+    factory = _governor_factory(governor, service_model, ladder)
+    (result,) = run_multipoint_simulation(
+        service_model, [MultipointPoint(config=config, governor_factory=factory)],
+        sleep_model=sleep,
+    )
+    assert result == _scalar(service_model, factory, config, sleep_model=sleep)
+
+
+@pytest.mark.parametrize("name,utilization,constraint_s", bench_server.DEFAULT_POINTS)
+def test_bench_server_points_match_scalar(service_model, name, utilization, constraint_s):
+    """``benchmarks/bench_server.py``'s points at its CI ``--quick``
+    shape (12 s, 2 cores, seed 3) equal the reference loop."""
+    config = bench_server.point_config(utilization, constraint_s, 12.0, 2, 3)
+    factory = bench_server.governor_factory(name, service_model)
+    assert _one_point(service_model, factory, config) == _scalar(
+        service_model, factory, config
+    )
 
 
 # -- independent points ------------------------------------------------------------
@@ -516,15 +621,16 @@ def test_evaluate_operating_points_matches_scalar(ft4):
 
 @pytest.fixture()
 def des_calls(monkeypatch):
-    """Count lockstep and scalar DES entries wherever a loaded ``repro``
-    module holds them (every caller is imported at the top of this
-    file, so none binds a wrapper left over from an earlier test)."""
+    """Count DES entries and calls of the public one-point wrapper
+    wherever a loaded ``repro`` module holds them (every caller is
+    imported at the top of this file, so none binds a wrapper left over
+    from an earlier test)."""
     import sys
 
-    calls = {"multipoint": 0, "scalar": 0}
+    calls = {"multipoint": 0, "one_point": 0}
     for kind, fn in (
         ("multipoint", run_multipoint_simulation),
-        ("scalar", run_server_simulation),
+        ("one_point", run_server_simulation),
     ):
 
         def counting(*args, _fn=fn, _kind=kind, **kwargs):
@@ -537,8 +643,7 @@ def des_calls(monkeypatch):
     return calls
 
 
-LOCKSTEP = {"multipoint": 1, "scalar": 0}
-FALLBACK = {"multipoint": 1, "scalar": 1}
+LOCKSTEP = {"multipoint": 1, "one_point": 0}
 
 
 @pytest.mark.parametrize(
@@ -547,8 +652,9 @@ FALLBACK = {"multipoint": 1, "scalar": 1}
         ("eprons-server", "none", LOCKSTEP),
         ("no-pm", "none", LOCKSTEP),
         ("timetrader", "none", LOCKSTEP),
-        ("oracle", "none", FALLBACK),
-        ("eprons-server", "powernap", FALLBACK),
+        ("oracle", "none", LOCKSTEP),
+        ("eprons-server", "powernap", LOCKSTEP),
+        ("timetrader", "powernap", LOCKSTEP),
     ],
 )
 def test_server_sim_op_runs_one_point_lockstep(des_calls, governor, sleep, expected):
@@ -591,7 +697,7 @@ _JOINT_PARAMS = JointSimParams(sim_cores=1, duration_s=2.0, warmup_s=0.5)
         ("eprons-server", LOCKSTEP),
         ("no-pm", LOCKSTEP),
         ("timetrader", LOCKSTEP),
-        ("oracle", FALLBACK),
+        ("oracle", LOCKSTEP),
     ],
 )
 def test_evaluate_operating_point_runs_one_point_lockstep(ft4, des_calls, governor, expected):
@@ -623,13 +729,13 @@ def test_fig15_timetrader_profile_makes_no_scalar_call(des_calls):
         traffic_seed=1,
     )
     assert out["profile"] is not None
-    assert des_calls == {"multipoint": 1, "scalar": 0}
+    assert des_calls == LOCKSTEP
 
 
 def test_fig13_sweep_runs_one_point_per_task(tmp_path, monkeypatch):
     """A fig13 sweep dispatches one plain ``joint-eval`` task per point:
     each feasible task makes one one-point lockstep call, an infeasible
-    one none, nothing falls back, and every outcome equals
+    one none, none calls the one-point wrapper, and every outcome equals
     ``joint_eval_op`` called directly."""
     import repro.sim.runner
     import repro.simfast.multipoint

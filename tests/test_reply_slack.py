@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.policies import EpronsServerGovernor, MaxFrequencyGovernor, RubikPlusGovernor
-from repro.sim import (
-    Request,
-    ServerSimConfig,
-    constant_latency_sampler,
-    run_server_simulation,
-)
+from repro.sim import ServerSimConfig, constant_latency_sampler, run_server_simulation
+from tests.oracles.server import Request
 
 
 def cfg(**kw):

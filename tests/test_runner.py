@@ -51,8 +51,8 @@ class TestConfig:
         [("dispatch", "fifo", "dispatch"), ("n_cores", 0, "n_cores")],
     )
     def test_dispatch_and_core_count_validated(self, field, value, match):
-        """Rejected up front, so the lockstep engine (which never builds
-        a ``MultiCoreServer``) cannot run them as something else."""
+        """Rejected up front, so the DES (which only knows random and
+        round-robin dispatch) cannot run them as something else."""
         with pytest.raises(ConfigurationError, match=match):
             cfg(**{field: value})
 
@@ -80,6 +80,27 @@ class TestSampler:
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             constant_latency_sampler(-1.0)
+
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, latency):
+        with pytest.raises(ConfigurationError, match="finite"):
+            constant_latency_sampler(latency)
+
+    @pytest.mark.parametrize("latency", [-1e-3, float("nan"), float("inf")])
+    def test_invalid_sampler_output_rejected(self, service_model, ladder, latency):
+        """A NaN or infinite latency is no more valid than a negative
+        one: without the check an eprons-server point reports
+        ``p95=nan`` and a 0 % violation rate under NaN, and dies in an
+        ``OverflowError`` deep in a decision under inf."""
+
+        def sampler(n, rng):
+            return np.full(n, latency)
+
+        with pytest.raises(ConfigurationError, match="negative or non-finite"):
+            run_server_simulation(
+                service_model, lambda: EpronsServerGovernor(service_model, ladder),
+                cfg(duration_s=2.0), network_latency_sampler=sampler,
+            )
 
     def test_returns_float_dtype(self):
         s = constant_latency_sampler(2e-3)

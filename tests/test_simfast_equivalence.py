@@ -7,10 +7,11 @@ mixture evaluation kept in ``tests/oracles/server.py`` — for every VP
 governor, including the EDF-reordering ones whose lockstep queue must
 replay the core's stable sort.  Production points run through the
 one-point lockstep path (:func:`run_multipoint_simulation`); the oracle
-runs on the scalar :func:`run_server_simulation`, the only engine that
-calls its mixture.  A golden-hash regression additionally pins a full
-fig. 12 operating point to a digest captured from the mixture
-implementation, so neither side can drift silently.
+runs on the reference event-heap loop
+(:func:`~tests.oracles.server.scalar_server_simulation`), the only
+engine that calls its mixture.  A golden-hash regression additionally
+pins a full fig. 12 operating point to a digest captured from the
+mixture implementation, so neither side can drift silently.
 """
 
 from __future__ import annotations
@@ -29,14 +30,10 @@ from repro.policies import (
     RubikPlusGovernor,
 )
 from repro.power.sleep import POWERNAP_SLEEP
-from repro.sim.runner import (
-    ServerSimConfig,
-    constant_latency_sampler,
-    run_server_simulation,
-)
+from repro.sim.runner import ServerSimConfig, constant_latency_sampler
 from repro.simfast import MultipointPoint, run_multipoint_simulation
 from tests.oracles import server as oracle
-from tests.oracles.server import reference_governor
+from tests.oracles.server import reference_governor, scalar_server_simulation
 
 VP_GOVERNORS = (
     RubikGovernor,
@@ -91,7 +88,7 @@ def test_snapshot_decisions_identical(governor_pair, snapshot):
 
 def run_both(governor_cls, service_model, ladder, config):
     """The same point on the production one-point path and on the
-    oracle, which only the scalar runner can drive."""
+    oracle, which only the reference loop can drive."""
     (production,) = run_multipoint_simulation(
         service_model,
         [
@@ -102,7 +99,7 @@ def run_both(governor_cls, service_model, ladder, config):
         ],
     )
     oracle_cls = reference_governor(governor_cls)
-    reference = run_server_simulation(
+    reference = scalar_server_simulation(
         service_model, lambda: oracle_cls(service_model, ladder), config
     )
     return production, reference
@@ -123,9 +120,8 @@ def test_full_simulation_identical(governor_cls, service_model, ladder):
 
 
 def test_full_simulation_identical_with_sleep_and_reply(service_model, ladder):
-    """Sleep points stay on the scalar runner, where the tabulated
-    snapshot decision must track sleep transitions and reply-latency
-    deadline wiring exactly."""
+    """Under sleep transitions and reply-latency deadline wiring, the
+    lockstep table decisions track the oracle's mixture exactly."""
     config = ServerSimConfig(
         utilization=0.25,
         latency_constraint_s=30e-3,
@@ -134,15 +130,23 @@ def test_full_simulation_identical_with_sleep_and_reply(service_model, ladder):
         warmup_s=1.0,
         seed=5,
     )
-    tabulated, reference = (
-        run_server_simulation(
-            service_model,
-            lambda cls=cls: cls(service_model, ladder),
-            config,
-            sleep_model=POWERNAP_SLEEP,
-            reply_latency_sampler=constant_latency_sampler(1e-3),
-        )
-        for cls in (EpronsServerGovernor, reference_governor(EpronsServerGovernor))
+    kwargs = dict(
+        sleep_model=POWERNAP_SLEEP,
+        reply_latency_sampler=constant_latency_sampler(1e-3),
+    )
+    (tabulated,) = run_multipoint_simulation(
+        service_model,
+        [
+            MultipointPoint(
+                config=config,
+                governor_factory=lambda: EpronsServerGovernor(service_model, ladder),
+            )
+        ],
+        **kwargs,
+    )
+    oracle_cls = reference_governor(EpronsServerGovernor)
+    reference = scalar_server_simulation(
+        service_model, lambda: oracle_cls(service_model, ladder), config, **kwargs
     )
     assert tabulated == reference
 
@@ -150,7 +154,7 @@ def test_full_simulation_identical_with_sleep_and_reply(service_model, ladder):
 def test_oracle_run_evaluates_the_mixture(service_model, ladder, monkeypatch):
     """A reference governor is a ``VPGovernor`` subclass, which the
     lockstep engine would price on its tables: oracle runs must go
-    through the scalar runner and actually build mixture queues."""
+    through the reference loop and actually build mixture queues."""
     built = []
     original = oracle.EquivalentQueue.__init__
 
@@ -173,14 +177,23 @@ def test_oracle_run_evaluates_the_mixture(service_model, ladder, monkeypatch):
 # -- golden-hash regression on a fig. 12 point -------------------------------------
 
 #: Captured from the mixture implementation before the tables existed
-#: (rubik, eprons-server) and from the scalar loop before TimeTrader ran
-#: lockstep (timetrader, no-pm = ``MaxFrequencyGovernor``); production
-#: and oracle must both keep reproducing them bit for bit.
+#: (rubik, eprons-server), from the scalar loop before TimeTrader ran
+#: lockstep (timetrader, no-pm = ``MaxFrequencyGovernor``), and from it
+#: before the clairvoyant oracle and PowerNap sleep did (the rest; a
+#: ``+round-robin`` point dispatches round-robin); production and
+#: oracle must all keep reproducing them bit for bit.
 FIG12_POINT_DIGESTS = {
     "rubik": "d9bb4d2221367e686e318ae932298b236e0b9958de2059cbeba3c3b3f94c5919",
     "eprons-server": "11b53f7fce290a3fc9d0e6fb9676f1860b427ebaf075c9fcbea4b20276d98afa",
     "timetrader": "7bbd9a3ee743d07b294f413ee85afbdcbbeb72facbee2c437743147193975596",
     "no-pm": "6d9527964cb6ec5e9abc3bbccfd261f29854c9affc91da9e08fbe7970e8fd51c",
+    "oracle": "689b44794d0c4878b177337b0772a25000cb13136dfeef85d0e08d3aa43b930c",
+    "no-pm+powernap": "6d0696e76aadcdd7caa329307f9f8420c7ceac91a8fb8dad5b1bdad5e29b5060",
+    "eprons-server+powernap": "7915c6ec8f9aa243e0ca22d87d4f849ae75162fb6341ab3b44415ac1017daedf",
+    "timetrader+powernap": "278a53bab28483df7df43736fc9d13996504a09c22e8c233dd3be10ea2a1c2dd",
+    "eprons-server+powernap+round-robin": (
+        "c4bdc1cb9c8d2a32c201a6b8f30a671ace4746cb1db79d3554ff24c8de13a658"
+    ),
 }
 
 
@@ -235,7 +248,7 @@ def test_decisions_counted_on_both_engines(service_model, ladder):
     )
     for cls in (RubikGovernor, reference_governor(RubikGovernor)):
         stats: dict = {}
-        run_server_simulation(
+        scalar_server_simulation(
             service_model, lambda: cls(service_model, ladder), config, stats_out=stats
         )
         assert stats["n_decisions"] > 0

@@ -1,4 +1,11 @@
-"""Core sleep states (PowerNap-family baseline support)."""
+"""Core sleep states (PowerNap-family baseline support).
+
+The state machine's unit tests drive the reference core in
+``tests/oracles/server.py``; ``tests/test_multipoint.py`` holds the
+production per-core loop to it.
+"""
+
+import math
 
 import pytest
 
@@ -6,7 +13,8 @@ from repro.errors import ConfigurationError
 from repro.policies import EpronsServerGovernor, MaxFrequencyGovernor
 from repro.power import POWERNAP_SLEEP, SleepStateModel
 from repro.server import XEON_LADDER
-from repro.sim import CoreSimulator, EventLoop, Request, ServerSimConfig, run_server_simulation
+from repro.sim import EventLoop, ServerSimConfig, run_server_simulation
+from tests.oracles.server import CoreSimulator, Request
 
 
 def make_request(rid, arrival, work, deadline=1e9):
@@ -38,6 +46,15 @@ class TestSleepStateModel:
             SleepStateModel(sleep_watts=-1.0)
         with pytest.raises(ConfigurationError):
             SleepStateModel(wake_latency_s=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["sleep_watts", "entry_latency_s", "wake_latency_s"])
+    def test_non_finite_rejected(self, field, value):
+        """NaN would pass a ``< 0`` check and surface mid-run (a NaN
+        wake time, a NaN power); an infinite entry latency would
+        silently never sleep."""
+        with pytest.raises(ConfigurationError, match=field):
+            SleepStateModel(**{field: value})
 
 
 class TestCoreSleepBehavior:
