@@ -68,6 +68,10 @@ class JointSimParams:
             raise ConfigurationError("server/core counts must be positive")
         if not 0.0 <= self.warmup_s < self.duration_s < math.inf:
             raise ConfigurationError("need 0 <= warmup < duration, both finite")
+        if not 0.0 <= self.static_watts < math.inf:
+            raise ConfigurationError(
+                f"static_watts must be finite and >= 0, got {self.static_watts}"
+            )
 
 
 @dataclass(frozen=True)

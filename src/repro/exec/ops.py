@@ -23,6 +23,8 @@ models included.  No op takes an engine argument.
 
 from __future__ import annotations
 
+import functools
+
 from ..consolidation.elastictree import ElasticTreeConsolidator
 from ..consolidation.heuristic import GreedyConsolidator, route_on_subnet
 from ..control.controller import SdnController
@@ -100,8 +102,14 @@ def governor_factory(name: str, workload: SearchWorkload):
     raise ConfigurationError(f"unknown governor {name!r}; known: {GOVERNOR_NAMES}")
 
 
+@functools.lru_cache(maxsize=8)
 def workload_for(arity: int, constraint_ms: float | None = None) -> SearchWorkload:
-    """The paper's search deployment on a k-ary fat-tree."""
+    """The paper's search deployment on a k-ary fat-tree.
+
+    Memoized per process: the workload, its topology (a frozen graph)
+    and its service model are immutable, and every op on a given
+    (arity, constraint) shares one copy instead of rebuilding both.
+    """
     ft = FatTree(arity)
     if constraint_ms is None:
         return SearchWorkload(ft)

@@ -12,16 +12,25 @@ latency-tolerant elephants where, each epoch,
 
 The model preserves flow identity across epochs so the controller's
 per-flow demand predictors keep their history for surviving flows.
+
+Endpoint balancing is incremental: each side (source, destination)
+keeps every host's flow count and, per count, a bucket of host ranks
+in host order.  A birth or a death moves one host per side between
+adjacent buckets, so an epoch costs time linear in the flows it
+touches, not in flows times hosts.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_left, insort
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import ensure_rng
 from ..topology.graph import Topology
-from .flow import Flow, FlowClass
+from .flow import Flow, FlowClass, copies_with_demands
 from .traffic import TrafficSet
 
 __all__ = ["FlowChurnModel"]
@@ -73,6 +82,15 @@ class FlowChurnModel:
         self.max_demand_fraction = max_demand_fraction
         self._rng = ensure_rng(seed_or_rng)
         self._hosts = hosts
+        self._rank = {h: i for i, h in enumerate(hosts)}
+        self._src_loads = _EndpointLoads(len(hosts))
+        self._dst_loads = _EndpointLoads(len(hosts))
+        # Demands are sized against the first host's access link.
+        self._access_capacity = topology.capacity(hosts[0], topology.attachment_switch(hosts[0]))
+        if not 0.0 < self._access_capacity < math.inf:
+            raise ConfigurationError(
+                f"access capacity must be positive and finite, got {self._access_capacity}"
+            )
         self._epoch = 0
         self._next_id = 0
         self._flows: dict[str, Flow] = {}
@@ -83,49 +101,6 @@ class FlowChurnModel:
     def epoch(self) -> int:
         return self._epoch
 
-    def _endpoint_loads(self) -> tuple[dict[str, int], dict[str, int]]:
-        src_load = {h: 0 for h in self._hosts}
-        dst_load = {h: 0 for h in self._hosts}
-        for flow in self._flows.values():
-            src_load[flow.src] += 1
-            dst_load[flow.dst] += 1
-        return src_load, dst_load
-
-    def _new_flow(self, demand_bps: float) -> Flow:
-        # Balance endpoints: new flows spawn at the least-loaded source
-        # and destination access links (randomized among ties) so the
-        # population stays physically routable at high utilization —
-        # two elephants stacked on one host downlink are unroutable.
-        src_load, dst_load = self._endpoint_loads()
-
-        def pick(load: dict[str, int], exclude: str | None = None) -> str:
-            candidates = [h for h in self._hosts if h != exclude]
-            low = min(load[h] for h in candidates)
-            pool = [h for h in candidates if load[h] == low]
-            return pool[int(self._rng.integers(len(pool)))]
-
-        src = pick(src_load)
-        dst = pick(dst_load, exclude=src)
-        fid = f"bgflow:{self._next_id}"
-        self._next_id += 1
-        self.births += 1
-        return Flow(fid, src, dst, demand_bps, FlowClass.LATENCY_TOLERANT)
-
-    def _access_capacity(self) -> float:
-        return self.topology.capacity(
-            self._hosts[0], self.topology.attachment_switch(self._hosts[0])
-        )
-
-    def _target_demand(self, utilization: float) -> float:
-        # Same sizing rule as background_flows: the population should
-        # load the average access link to the target utilization.
-        per_flow = utilization * self._access_capacity() * len(self._hosts) / self.n_flows
-        return max(per_flow, 1.0)
-
-    def _clip_demand(self, demand: float, target: float) -> float:
-        ceiling = self.max_demand_fraction * self._access_capacity()
-        return float(np.clip(demand, min(0.5 * target, ceiling), min(1.5 * target, ceiling)))
-
     def advance(self, utilization: float) -> TrafficSet:
         """One epoch step: churn, drift, and return the new population.
 
@@ -134,30 +109,89 @@ class FlowChurnModel:
         """
         if not 0.0 <= utilization < 1.0:
             raise ConfigurationError(f"utilization {utilization} outside [0, 1)")
-        target = self._target_demand(utilization)
+        # Same sizing rule as background_flows: the population should
+        # load the average access link to the target utilization.
+        capacity = self._access_capacity
+        target = max(utilization * capacity * len(self._hosts) / self.n_flows, 1.0)
+        # Demands are clipped to a sane band around the target, under
+        # the ceiling; both bounds are positive and finite, lo <= hi.
+        ceiling = self.max_demand_fraction * capacity
+        lo, hi = min(0.5 * target, ceiling), min(1.5 * target, ceiling)
         death_p = 1.0 / self.mean_lifetime_epochs
+        random, normal, jitter = self._rng.random, self._rng.normal, self.demand_jitter
+        rank, src_loads, dst_loads = self._rank, self._src_loads, self._dst_loads
 
-        survivors: dict[str, Flow] = {}
-        for fid, flow in self._flows.items():
-            if self._rng.random() < death_p:
+        kept, demands = [], []
+        for flow in self._flows.values():
+            if random() < death_p:
                 self.deaths += 1
+                src_loads.remove(rank[flow.src])
+                dst_loads.remove(rank[flow.dst])
                 continue
-            # Multiplicative drift, pulled toward the epoch target and
-            # clipped to a sane band around it.
-            drift = float(
-                np.exp(self._rng.normal(0.0, self.demand_jitter))
-            )
-            survivors[fid] = flow.with_demand(
-                self._clip_demand(flow.demand_bps * drift, target)
-            )
+            # Multiplicative drift, pulled toward the epoch target.
+            demand = flow.demand_bps * float(np.exp(normal(0.0, jitter)))
+            kept.append(flow)
+            demands.append(min(max(demand, lo), hi))
+        self._flows = {f.flow_id: f for f in copies_with_demands(kept, demands)}
 
-        # Commit survivors first so endpoint balancing for replacements
-        # sees the current population (including flows added this epoch).
-        self._flows = survivors
+        # Replacements see the current population (survivors plus flows
+        # added this epoch).  Endpoints are balanced: each spawns at the
+        # least-loaded source and destination access links (uniform
+        # among ties) so the population stays physically routable at
+        # high utilization — two elephants stacked on one host downlink
+        # are unroutable.
+        hosts = self._hosts
         while len(self._flows) < self.n_flows:
-            jitter = float(np.exp(self._rng.normal(0.0, self.demand_jitter)))
-            flow = self._new_flow(self._clip_demand(target * jitter, target))
-            self._flows[flow.flow_id] = flow
+            demand = min(max(target * float(np.exp(normal(0.0, jitter))), lo), hi)
+            src = src_loads.pick(self._rng)
+            dst = dst_loads.pick(self._rng, exclude=src)
+            src_loads.add(src)
+            dst_loads.add(dst)
+            fid = f"bgflow:{self._next_id}"
+            self._next_id += 1
+            self.births += 1
+            self._flows[fid] = Flow(fid, hosts[src], hosts[dst], demand, FlowClass.LATENCY_TOLERANT)
 
         self._epoch += 1
         return TrafficSet(sorted(self._flows.values(), key=lambda f: f.flow_id))
+
+
+class _EndpointLoads:
+    """One side's per-host flow counts, with the hosts of each count
+    kept in a bucket of ranks in host order."""
+
+    __slots__ = ("load", "buckets")
+
+    def __init__(self, n_hosts: int):
+        self.load = [0] * n_hosts
+        self.buckets = [list(range(n_hosts))]
+
+    def _move(self, rank: int, step: int) -> None:
+        level = self.load[rank]
+        bucket = self.buckets[level]
+        del bucket[bisect_left(bucket, rank)]
+        level += step
+        if level == len(self.buckets):
+            self.buckets.append([])
+        insort(self.buckets[level], rank)
+        self.load[rank] = level
+
+    def add(self, rank: int) -> None:
+        self._move(rank, 1)
+
+    def remove(self, rank: int) -> None:
+        self._move(rank, -1)
+
+    def pick(self, rng: np.random.Generator, exclude: int = -1) -> int:
+        """A uniform draw from the least-loaded hosts other than
+        ``exclude``, indexed in host order."""
+        for level, bucket in enumerate(self.buckets):
+            n = len(bucket)
+            if exclude >= 0 and self.load[exclude] == level:
+                if n == 1:
+                    continue
+                i = int(rng.integers(n - 1))
+                return bucket[i + (i >= bisect_left(bucket, exclude))]
+            if n:
+                return bucket[int(rng.integers(n))]
+        raise AssertionError("a churn model has at least two hosts")

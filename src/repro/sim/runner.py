@@ -94,6 +94,10 @@ class ServerSimConfig:
             )
         if self.n_cores < 1:
             raise ConfigurationError(f"n_cores must be positive, got {self.n_cores}")
+        if not 0.0 <= self.static_watts < math.inf:
+            raise ConfigurationError(
+                f"static_watts must be finite and >= 0, got {self.static_watts}"
+            )
         if self.dispatch not in DISPATCH_POLICIES:
             raise ConfigurationError(
                 f"dispatch must be one of {DISPATCH_POLICIES}, got {self.dispatch!r}"

@@ -117,6 +117,8 @@ class DegradedStatsCollector:
         """
         if n_polls <= 0:
             raise ConfigurationError(f"n_polls must be positive, got {n_polls}")
+        if epoch < 0:
+            raise ConfigurationError(f"epoch must be >= 0, got {epoch}")
         if epoch < self._next_epoch:
             raise ConfigurationError(
                 f"collector already advanced past epoch {epoch} "
@@ -253,6 +255,10 @@ class DegradedStatsCollector:
         delayed one, that reply's noise vector.
         """
         profile = self.profile
+        if profile.is_perfect:
+            # Every uniform lands at or above the zero thresholds: all
+            # polls are clean, so no switch's generator is built.
+            return np.full((len(polled), n_polls), _CLEAN, dtype=np.int8), None
         t_lost = profile.stats_loss_prob
         t_stale = t_lost + profile.stale_prob
         t_delayed = t_stale + profile.delay_prob

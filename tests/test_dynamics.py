@@ -1,10 +1,12 @@
 """Flow churn dynamics and the controller's MILP fallback."""
 
+import hashlib
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.consolidation import GreedyConsolidator, validate_result
@@ -13,6 +15,7 @@ from repro.errors import ConfigurationError
 from repro.flows import FlowChurnModel
 from repro.topology.fattree import FatTree
 from repro.workloads import SearchWorkload
+from tests.oracles.flows import ReferenceFlowChurnModel
 
 
 class TestFlowChurnModel:
@@ -215,6 +218,132 @@ class TestFlowChurnFlashCrowdScale:
             for f in churn.advance(u):
                 h.update(f"{f.flow_id}|{f.src}|{f.dst}|{f.demand_bps!r};".encode())
         assert h.hexdigest() == remote
+
+
+def _population_digest(model, utilizations) -> str:
+    h = hashlib.sha256()
+    for u in utilizations:
+        for f in model.advance(u):
+            h.update(f"{f.flow_id}|{f.src}|{f.dst}|{f.demand_bps!r};".encode())
+    return h.hexdigest()
+
+
+def _rows(traffic):
+    return [(f.flow_id, f.src, f.dst, f.flow_class, f.demand_bps) for f in traffic]
+
+
+_TREES = {k: FatTree(k) for k in (4, 6, 8)}
+
+
+class TestChurnOracle:
+    """The incremental endpoint balancing against the quadratic
+    reference in ``tests/oracles/flows.py``: same generator calls in
+    the same order, same flows, bit for bit."""
+
+    def test_golden_ctrl_k16_churn(self):
+        """The controller benchmark's population: k=16, 10-epoch
+        lifetimes, no jitter, 41 epochs at 20 % background."""
+        churn = FlowChurnModel(
+            FatTree(16), mean_lifetime_epochs=10.0, demand_jitter=0.0, seed_or_rng=1
+        )
+        assert _population_digest(churn, [0.2] * 41) == (
+            "0276b513675ebf89e475d13cb9a350b56aa93482179afccb4f40fd08503b9abd"
+        )
+        assert (churn.births, churn.deaths) == (5076, 4052)
+
+    def test_golden_flash_crowd(self):
+        churn = FlowChurnModel(FatTree(4), flows_per_host=4.0, seed_or_rng=9)
+        assert _population_digest(churn, (0.15, 0.4, 0.4, 0.15)) == (
+            "6b0859d9ba540c386267464593f7ecd4526765287ba5392b9d9e09d64cbe2b9f"
+        )
+
+    @given(
+        arity=st.sampled_from((4, 6, 8)),
+        size=st.one_of(
+            st.tuples(st.just(None), st.floats(0.25, 8.0)),
+            st.tuples(st.sampled_from((1, 3, "over")), st.just(1.0)),
+        ),
+        lifetime=st.floats(1.0, 10.0),
+        jitter=st.floats(0.0, 0.9),
+        utilizations=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        shared_rng=st.booleans(),
+    )
+    @example(
+        arity=4, size=(None, 2.0), lifetime=1.0, jitter=0.15,
+        utilizations=[0.3] * 6, seed=1, shared_rng=False,
+    )
+    @example(
+        arity=4, size=("over", 1.0), lifetime=2.0, jitter=0.0,
+        utilizations=[0.1, 0.5, 0.5], seed=7, shared_rng=True,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(
+        self, arity, size, lifetime, jitter, utilizations, seed, shared_rng
+    ):
+        ft = _TREES[arity]
+        n_flows, flows_per_host = size
+        if n_flows == "over":
+            n_flows = ft.n_hosts + 3
+        kw = dict(
+            n_flows=n_flows,
+            flows_per_host=flows_per_host,
+            mean_lifetime_epochs=lifetime,
+            demand_jitter=jitter,
+        )
+        # A shared generator: both models must leave the caller's
+        # stream in the same state.
+        rng_a, rng_b = (
+            (np.random.default_rng(seed), np.random.default_rng(seed))
+            if shared_rng
+            else (seed, seed)
+        )
+        fast = FlowChurnModel(ft, seed_or_rng=rng_a, **kw)
+        ref = ReferenceFlowChurnModel(ft, seed_or_rng=rng_b, **kw)
+        for u in utilizations:
+            assert _rows(fast.advance(u)) == _rows(ref.advance(u))
+            assert (fast.births, fast.deaths, fast.epoch) == (ref.births, ref.deaths, ref.epoch)
+        assert fast._rng.bit_generator.state == ref._rng.bit_generator.state
+        if shared_rng:
+            assert rng_a.random() == rng_b.random()
+
+    def test_source_alone_in_lowest_bucket(self, monkeypatch):
+        """The destination pick moves up a bucket when the chosen
+        source is the only least-loaded destination; a fixed config
+        reaches that case and still matches the reference."""
+        from repro.flows.dynamics import _EndpointLoads
+
+        hits = []
+        pick = _EndpointLoads.pick
+
+        def spy(self, rng, exclude=-1):
+            lowest = next(b for b in self.buckets if b)
+            if lowest == [exclude]:
+                hits.append(exclude)
+            return pick(self, rng, exclude)
+
+        monkeypatch.setattr(_EndpointLoads, "pick", spy)
+        ft = FatTree(4)
+        kw = dict(flows_per_host=2.0, mean_lifetime_epochs=1.0, seed_or_rng=1)
+        fast, ref = FlowChurnModel(ft, **kw), ReferenceFlowChurnModel(ft, **kw)
+        for _ in range(6):
+            assert _rows(fast.advance(0.3)) == _rows(ref.advance(0.3))
+        assert hits
+
+    def test_rejects_infinite_access_capacity(self):
+        """Demands are sized against the access link, so an unbounded
+        one would make every demand infinite."""
+        import networkx as nx
+
+        from repro.topology.graph import NodeKind, Topology
+
+        g = nx.Graph()
+        g.add_node("s", kind=NodeKind.EDGE)
+        for h in ("a", "b"):
+            g.add_node(h, kind=NodeKind.HOST)
+            g.add_edge(h, "s", capacity=math.inf)
+        with pytest.raises(ConfigurationError, match="access capacity"):
+            FlowChurnModel(Topology(g))
 
 
 class TestMilpFallback:

@@ -93,3 +93,22 @@ class TestSeeds:
         d = spec_digest("op", {"x": 1})
         assert len(d) == 64
         int(d, 16)
+
+
+class TestWorkloadFor:
+    def test_memoized_per_arity_and_constraint(self):
+        from repro.exec.ops import workload_for
+
+        assert workload_for(4) is workload_for(4)
+        assert workload_for(4, 20.0) is workload_for(4, 20.0)
+        assert workload_for(4, 20.0) is not workload_for(4)
+        assert workload_for(4, 20.0).latency_constraint_s == pytest.approx(20e-3)
+
+    def test_shared_topology_is_frozen(self):
+        """Sharing is safe only because no op can mutate the fabric."""
+        import networkx as nx
+
+        from repro.exec.ops import workload_for
+
+        with pytest.raises(nx.NetworkXError):
+            workload_for(4).topology.graph.add_edge("h0_0_0", "h0_0_1")

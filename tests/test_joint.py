@@ -46,6 +46,11 @@ class TestJointSimParams:
         with pytest.raises(ConfigurationError):
             JointSimParams(duration_s=float("inf"))
 
+    @pytest.mark.parametrize("watts", [float("nan"), -5.0, float("inf")])
+    def test_static_watts_must_be_finite_and_non_negative(self, watts):
+        with pytest.raises(ConfigurationError, match="static_watts"):
+            JointSimParams(static_watts=watts)
+
 
 class TestEvaluateOperatingPoint:
     def test_breakdown_consistency(self, workload, light_setup):

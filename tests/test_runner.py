@@ -71,6 +71,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             cfg(**{field: value})
 
+    @pytest.mark.parametrize("watts", [float("nan"), -5.0, float("inf")])
+    def test_static_watts_must_be_finite_and_non_negative(self, watts):
+        """The value goes straight into the server's power; only the
+        config is built here, no DES runs."""
+        with pytest.raises(ConfigurationError, match="static_watts"):
+            ServerSimConfig(utilization=0.3, latency_constraint_s=0.03, static_watts=watts)
+
+    def test_zero_static_watts_accepted(self):
+        assert cfg(static_watts=0.0).static_watts == 0.0
+
 
 class TestSampler:
     def test_constant_sampler(self):

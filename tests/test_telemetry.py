@@ -107,6 +107,24 @@ class TestDegradedStatsCollector:
             assert samples[flow.flow_id] == [flow.demand_bps] * 5
             assert monitor.has_prediction(flow.flow_id)
 
+    def test_perfect_profile_builds_no_generator(self, workload, traffic, monkeypatch):
+        """No draw can change a clean outcome, so none is made."""
+
+        def no_rng(self, epoch, switch):
+            raise AssertionError("perfect telemetry drew from a generator")
+
+        monkeypatch.setattr(TelemetryProfile, "rng_for", no_rng)
+        collector = DegradedStatsCollector(workload.topology, PERFECT_TELEMETRY)
+        for epoch in range(3):
+            batch = collector.collect(epoch, traffic, n_polls=4)
+            assert batch.n_polls > 0 and batch.n_lost == batch.n_stale == batch.n_delayed == 0
+
+    @pytest.mark.parametrize("profile", [PERFECT_TELEMETRY, TelemetryProfile(stats_loss_prob=0.2)])
+    def test_rejects_negative_epoch(self, workload, traffic, profile):
+        collector = DegradedStatsCollector(workload.topology, profile)
+        with pytest.raises(ConfigurationError, match="epoch must be >= 0"):
+            collector.collect(-1, traffic)
+
     def test_total_loss_yields_only_gaps(self, workload, traffic):
         profile = TelemetryProfile(stats_loss_prob=1.0, seed=1)
         collector = DegradedStatsCollector(workload.topology, profile)
