@@ -32,8 +32,6 @@ import contextlib
 import os
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 
 @contextlib.contextmanager
@@ -222,6 +220,11 @@ class MilpConsolidator(Consolidator):
             lo.append(-np.inf)
             hi.append(0.0)
             row += 1
+
+        # HiGHS (and scipy.sparse with it) loads on the first solve:
+        # the greedy and delta consolidators never need it.
+        from scipy import sparse
+        from scipy.optimize import Bounds, LinearConstraint, milp
 
         a = sparse.csr_matrix((vals, (rows, cols)), shape=(row, n_vars))
         constraints = LinearConstraint(a, np.array(lo), np.array(hi))

@@ -14,7 +14,10 @@ the work budget ω(D).
 :mod:`repro.server.freqmodel`):
 
 * FFT convolution (the paper measures ~20 µs per convolution with FFT;
-  Section III-C);
+  Section III-C) through :func:`fftconvolve`, which replays the call
+  sequence of :func:`scipy.signal.fftconvolve` on :mod:`scipy.fft`
+  without importing :mod:`scipy.signal` (and, through it,
+  :mod:`scipy.stats`);
 * exact CCDF lookup below the truncation horizon — overflow mass from
   truncation is lumped into the last bin, so ``ccdf(x)`` stays exact
   for every ``x`` below the grid end;
@@ -27,12 +30,15 @@ reused once computed" optimization.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as _fft
+from scipy import special as _special
 
 from ..errors import ConfigurationError
 
-__all__ = ["WorkDistribution", "ConvolutionCache"]
+__all__ = ["WorkDistribution", "ConvolutionCache", "fftconvolve"]
 
 #: Hard cap on grid length after convolution; overflow mass is lumped
 #: into the final bin (which preserves CCDF correctness below the cap).
@@ -55,6 +61,24 @@ DEFAULT_MAX_COND_ENTRIES = 512
 DEFAULT_MAX_POWER_ENTRIES = 128
 
 
+def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two 1-D float arrays by FFT.
+
+    Bit-identical to ``scipy.signal.fftconvolve(a, b)``: the same
+    ``rfftn``/``irfftn`` calls at the same ``next_fast_len`` padding.
+    ``scipy.fft`` and ``scipy.special`` are imported eagerly at module
+    top, so no import cost lands in a sweep's measured phase.
+    """
+    if a.size == 0 or b.size == 0:
+        return np.asarray([])
+    if a.size == 1 or b.size == 1:
+        return a * b
+    n = a.size + b.size - 1
+    f = _fft.next_fast_len(n, True)
+    spectrum = _fft.rfftn(a, [f], axes=[0]) * _fft.rfftn(b, [f], axes=[0])
+    return _fft.irfftn(spectrum, [f], axes=[0])[:n].copy()
+
+
 class WorkDistribution:
     """A probability mass function over reference work on a uniform grid.
 
@@ -66,8 +90,8 @@ class WorkDistribution:
     __slots__ = ("dx", "pmf", "_cdf", "_ccdf_table", "truncated", "_cond_cache")
 
     def __init__(self, dx: float, pmf, truncated: bool = False, _normalize: bool = True):
-        if dx <= 0:
-            raise ConfigurationError(f"grid spacing must be positive, got {dx}")
+        if not (dx > 0 and math.isfinite(dx)):
+            raise ConfigurationError(f"grid spacing must be positive and finite, got {dx}")
         arr = np.asarray(pmf, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ConfigurationError("pmf must be a non-empty 1-D array")
@@ -75,6 +99,10 @@ class WorkDistribution:
             raise ConfigurationError("pmf has negative mass")
         arr = np.clip(arr, 0.0, None)
         total = arr.sum()
+        # A NaN or +inf entry makes the total non-finite (-inf was
+        # already caught as negative mass).
+        if not math.isfinite(total):
+            raise ConfigurationError("pmf must be finite with finite total mass")
         if total <= 0:
             raise ConfigurationError("pmf has zero total mass")
         if _normalize:
@@ -140,18 +168,26 @@ class WorkDistribution:
 
         The support is cut at ``tail_quantile``; the residual tail mass
         is lumped into the last bin (so CCDF queries below the cut stay
-        exact up to the discretization).
+        exact up to the discretization).  The quantile and CDF are
+        ``scipy.stats.lognorm``'s own formulas on :mod:`scipy.special`,
+        so the PMF is bit-identical to discretizing through that class.
         """
-        if median <= 0 or sigma <= 0:
-            raise ConfigurationError("median and sigma must be positive")
-        from scipy.stats import lognorm
-
-        dist = lognorm(s=sigma, scale=median)
-        hi = float(dist.ppf(tail_quantile))
-        n = min(int(np.ceil(hi / dx)) + 1, max_bins)
+        for name, value in (("median", median), ("sigma", sigma), ("dx", dx)):
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 < tail_quantile < 1.0:
+            raise ConfigurationError(f"tail_quantile must lie in (0, 1), got {tail_quantile}")
+        if max_bins < 1:
+            raise ConfigurationError(f"max_bins must be at least 1, got {max_bins}")
+        # A support past the float range is cut at max_bins like any other.
+        with np.errstate(over="ignore"):
+            hi = float(np.exp(sigma * _special.ndtri(tail_quantile)) * median)
+        n = int(min(np.ceil(hi / dx) + 1.0, max_bins))
         edges = (np.arange(n + 1) - 0.5) * dx
         edges[0] = 0.0
-        cdf = dist.cdf(edges)
+        cdf = np.empty(n + 1)
+        cdf[0] = 0.0
+        cdf[1:] = _special.ndtr(np.log(edges[1:] / median) / sigma)
         pmf = np.diff(cdf)
         pmf[-1] += 1.0 - cdf[-1]  # lump the analytic tail
         return cls(dx, pmf, truncated=True)

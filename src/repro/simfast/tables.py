@@ -36,13 +36,13 @@ import hashlib
 from math import floor as _floor
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from ..errors import ConfigurationError
 from ..server.distributions import (
     DEFAULT_MAX_BINS,
     ConvolutionCache,
     WorkDistribution,
+    fftconvolve,
 )
 from ..server.dvfs import FrequencyLadder
 from ..server.service import ServiceModel

@@ -4,13 +4,20 @@ These are the correctness foundation of every VP-based governor, so
 they get property-based coverage via hypothesis.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
+from scipy import signal
 
 from repro.errors import ConfigurationError
 from repro.server import ConvolutionCache, WorkDistribution
+from repro.server.distributions import fftconvolve
+
+from tests.oracles.distributions import reference_lognormal
 
 DX = 1e-4
 
@@ -73,6 +80,118 @@ class TestConstruction:
         expected_mean = median * np.exp(sigma**2 / 2.0)
         assert d.mean() == pytest.approx(expected_mean, rel=0.01)
         assert d.quantile(0.5) == pytest.approx(median, rel=0.02)
+
+
+class TestValidation:
+    """Every bad input is a ConfigurationError, not a numpy or float
+    error from deep inside the discretization."""
+
+    BAD_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -1e-4)
+
+    @pytest.mark.parametrize("bad", BAD_FLOATS)
+    def test_lognormal_rejects_bad_median(self, bad):
+        with pytest.raises(ConfigurationError):
+            WorkDistribution.from_lognormal(bad, 0.5, DX)
+
+    @pytest.mark.parametrize("bad", BAD_FLOATS)
+    def test_lognormal_rejects_bad_sigma(self, bad):
+        with pytest.raises(ConfigurationError):
+            WorkDistribution.from_lognormal(3e-3, bad, DX)
+
+    @pytest.mark.parametrize("bad", BAD_FLOATS)
+    def test_lognormal_rejects_bad_dx(self, bad):
+        with pytest.raises(ConfigurationError):
+            WorkDistribution.from_lognormal(3e-3, 0.5, bad)
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+    def test_lognormal_rejects_bad_tail_quantile(self, q):
+        with pytest.raises(ConfigurationError):
+            WorkDistribution.from_lognormal(3e-3, 0.5, DX, tail_quantile=q)
+
+    @pytest.mark.parametrize("max_bins", [0, -1])
+    def test_lognormal_rejects_bad_max_bins(self, max_bins):
+        with pytest.raises(ConfigurationError):
+            WorkDistribution.from_lognormal(3e-3, 0.5, DX, max_bins=max_bins)
+
+    def test_lognormal_support_past_float_range_is_cut(self):
+        d = WorkDistribution.from_lognormal(3e-3, 1e3, DX, max_bins=64)
+        assert d.truncated and d.n_bins <= 64
+        assert d.pmf.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("dx", [math.nan, math.inf, -math.inf])
+    def test_init_rejects_non_finite_dx(self, dx):
+        with pytest.raises(ConfigurationError):
+            WorkDistribution(dx, [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_init_rejects_non_finite_pmf(self, bad):
+        with pytest.raises(ConfigurationError):
+            dist_from([0.5, bad, 0.5])
+
+    def test_init_rejects_overflowing_total(self):
+        with np.errstate(over="ignore"), pytest.raises(ConfigurationError):
+            dist_from([1e308, 1e308])
+
+
+#: Lengths on either side of every ``next_fast_len`` jump up to 600.
+FAST_LEN_EDGES = sorted(
+    {f + d for f in {sp_fft.next_fast_len(n, True) for n in range(2, 600)} for d in (-1, 0, 1)}
+)
+
+
+class TestScipyEquivalence:
+    """The production convolution and log-normal discretization equal
+    scipy's own (``scipy.signal`` / ``scipy.stats``) bit for bit."""
+
+    @given(
+        st.one_of(st.integers(0, 3), st.sampled_from(FAST_LEN_EDGES)),
+        st.one_of(st.integers(0, 3), st.sampled_from(FAST_LEN_EDGES)),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(0, 5, 0)
+    @example(1, 1, 0)
+    @example(1, 7, 0)
+    @example(2, 2, 0)
+    def test_fftconvolve_matches_scipy_signal(self, n1, n2, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.random(n1), rng.random(n2)
+        ours, theirs = fftconvolve(a, b), signal.fftconvolve(a, b)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+    @given(st.integers(1, 200), st.integers(2, 400), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    @example(1, 2, 0)
+    @example(2, 2, 0)
+    def test_fftconvolve_matches_on_table_row_shapes(self, head_bins, ccdf_len, seed):
+        """The VP table rows convolve a head PMF of ``m`` bins with a
+        padded CCDF extended by ``m - 1`` leading ones (just the CCDF
+        past its leading 1.0 when ``m == 1``)."""
+        rng = np.random.default_rng(seed)
+        h = rng.random(head_bins)
+        h /= h.sum()
+        ccdf = np.concatenate([[1.0], np.sort(rng.random(ccdf_len - 2))[::-1], [0.0]])
+        extended = (
+            np.concatenate([np.ones(head_bins - 1), ccdf[1:]]) if head_bins > 1 else ccdf[1:]
+        )
+        ours, theirs = fftconvolve(h, extended), signal.fftconvolve(h, extended)
+        assert ours.tobytes() == theirs.tobytes()
+
+    @given(
+        st.floats(1e-4, 5e-2),
+        st.floats(0.05, 2.0),
+        st.floats(5e-6, 5e-4),
+        st.sampled_from([1 - 1e-6, 0.999, 0.5, 1e-3]),
+        st.sampled_from([1, 2, 64, 4096]),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(3e-3, 0.5, 2e-5, 1 - 1e-6, 16384)
+    def test_from_lognormal_matches_scipy_stats(self, median, sigma, dx, q, max_bins):
+        ours = WorkDistribution.from_lognormal(median, sigma, dx, max_bins=max_bins, tail_quantile=q)
+        ref = reference_lognormal(median, sigma, dx, max_bins=max_bins, tail_quantile=q)
+        assert ours.truncated == ref.truncated
+        assert ours.pmf.tobytes() == ref.pmf.tobytes()
 
 
 class TestCcdf:
