@@ -27,8 +27,9 @@ already in the store's ingest format (sorted ids, counts, flat rates).
 The traffic views it hands back (:meth:`TrafficMonitor.predicted_traffic`,
 :meth:`TrafficMonitor.observed_traffic`) are built in bulk by
 :meth:`~repro.flows.traffic.TrafficSet.with_demands`: the new demands
-are checked in one vectorized pass and every other field of a flow is
-copied from the validated base flow.
+are checked in one vectorized pass, a flow whose demand changes is
+copied from the validated base flow, and every other flow is the base
+flow itself.
 """
 
 from __future__ import annotations

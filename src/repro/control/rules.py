@@ -72,18 +72,22 @@ class ReconfigurationPlan:
 
 
 def diff_routings(old: Routing | None, new: Routing) -> RuleUpdate:
-    """Compute the forwarding-rule diff between two routings."""
+    """Compute the forwarding-rule diff between two routings.
+
+    Reads both routings in place: ``added`` and ``rerouted`` follow
+    ``new``'s flow order, ``removed`` follows ``old``'s.
+    """
     if old is None:
-        return RuleUpdate(added={fid: path for fid, path in new.items()})
-    old_paths = dict(old.items())
-    new_paths = dict(new.items())
-    added = {fid: p for fid, p in new_paths.items() if fid not in old_paths}
-    removed = {fid: p for fid, p in old_paths.items() if fid not in new_paths}
-    rerouted = {
-        fid: (old_paths[fid], p)
-        for fid, p in new_paths.items()
-        if fid in old_paths and old_paths[fid] != p
-    }
+        return RuleUpdate(added=dict(new.items()))
+    old_path = old.get
+    added, rerouted = {}, {}
+    for fid, p in new.items():
+        q = old_path(fid)
+        if q is None:
+            added[fid] = p
+        elif q != p:
+            rerouted[fid] = (q, p)
+    removed = {fid: p for fid, p in old.items() if fid not in new}
     return RuleUpdate(added=added, removed=removed, rerouted=rerouted)
 
 

@@ -111,8 +111,11 @@ def copies_with_demands(flows, demands) -> list[Flow]:
     """``flow.with_demand(d)`` for each pair, for demands the caller has
     already checked positive and finite.
 
-    Every other field comes from a flow that passed ``__post_init__``,
-    so the copies skip it: this is the bulk path of
+    A flow whose demand is unchanged (``d == flow.demand_bps``) is
+    returned itself: :class:`Flow` is frozen, so a copy equal in every
+    field could never behave differently, and a steady epoch re-predicts
+    few demands.  Every other field comes from a flow that passed
+    ``__post_init__``, so the copies skip it: this is the bulk path of
     :meth:`~repro.flows.traffic.TrafficSet.with_demands`.  Fields are
     set one by one, as the generated ``__init__`` sets them, not through
     ``__dict__``: touching that builds a per-flow dict, which slows
@@ -122,6 +125,9 @@ def copies_with_demands(flows, demands) -> list[Flow]:
     new, set_field = object.__new__, object.__setattr__
     out = []
     for flow, demand in zip(flows, demands):
+        if demand == flow.demand_bps:
+            out.append(flow)
+            continue
         copy = new(Flow)
         set_field(copy, "flow_id", flow.flow_id)
         set_field(copy, "src", flow.src)

@@ -94,8 +94,9 @@ class TrafficSet:
         ``replace[i]`` is set (flow order).
 
         The new demands are checked in one pass, with :class:`Flow`'s
-        error for the first bad one; every other field of a replaced
-        flow is copied from its already-validated original.
+        error for the first bad one.  Only flows whose demand actually
+        changes are copied, every other field from the already-validated
+        original; the rest of the view shares the original objects.
         """
         demand = np.asarray(demand, dtype=float)
         replace = np.asarray(replace, dtype=bool)
@@ -113,11 +114,11 @@ class TrafficSet:
                 f"flow {self._flows[i].flow_id!r}: demand must be positive and finite, "
                 f"got {float(demand[i])}"
             )
-        flows = list(self._flows)
-        at = at.tolist()
-        for i, flow in zip(at, copies_with_demands([flows[i] for i in at], new.tolist())):
-            flows[i] = flow
         base_demand, ls = self._arrays()
+        flows = list(self._flows)
+        at = np.flatnonzero(replace & (demand != base_demand)).tolist()
+        for i, flow in zip(at, copies_with_demands([flows[i] for i in at], demand[at].tolist())):
+            flows[i] = flow
         out = TrafficSet()
         out._flows = flows
         # ``_by_id`` lists the ids in flow order, and they are unique.

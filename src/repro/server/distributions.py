@@ -79,6 +79,11 @@ def fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _fft.irfftn(spectrum, [f], axes=[0])[:n].copy()
 
 
+def _check_grid_spacing(dx: float) -> None:
+    if not (dx > 0 and math.isfinite(dx)):
+        raise ConfigurationError(f"grid spacing must be positive and finite, got {dx}")
+
+
 class WorkDistribution:
     """A probability mass function over reference work on a uniform grid.
 
@@ -90,8 +95,7 @@ class WorkDistribution:
     __slots__ = ("dx", "pmf", "_cdf", "_ccdf_table", "truncated", "_cond_cache")
 
     def __init__(self, dx: float, pmf, truncated: bool = False, _normalize: bool = True):
-        if not (dx > 0 and math.isfinite(dx)):
-            raise ConfigurationError(f"grid spacing must be positive and finite, got {dx}")
+        _check_grid_spacing(dx)
         arr = np.asarray(pmf, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ConfigurationError("pmf must be a non-empty 1-D array")
@@ -130,8 +134,9 @@ class WorkDistribution:
     @classmethod
     def point_mass(cls, dx: float, work: float = 0.0) -> "WorkDistribution":
         """A deterministic distribution concentrated at ``work``."""
-        if work < 0:
-            raise ConfigurationError("work must be non-negative")
+        _check_grid_spacing(dx)
+        if not (work >= 0 and math.isfinite(work)):
+            raise ConfigurationError(f"work must be non-negative and finite, got {work}")
         i = int(round(work / dx))
         pmf = np.zeros(i + 1)
         pmf[i] = 1.0
@@ -144,14 +149,22 @@ class WorkDistribution:
         This is how a deployment builds the model: log service times of
         real queries (the paper logs 100K Xapian queries) and bin them.
         """
+        _check_grid_spacing(dx)
+        if max_bins < 1:
+            raise ConfigurationError(f"max_bins must be at least 1, got {max_bins}")
         arr = np.asarray(samples, dtype=float)
         if arr.size == 0:
             raise ConfigurationError("cannot build a distribution from zero samples")
+        if not np.isfinite(arr).all():
+            raise ConfigurationError("work samples must be finite")
         if np.any(arr < 0):
             raise ConfigurationError("work samples must be non-negative")
-        idx = np.rint(arr / dx).astype(np.int64)
-        truncated = bool(np.any(idx >= max_bins))
-        idx = np.minimum(idx, max_bins - 1)
+        # Bins are clipped while still floats: a sample past the int64
+        # range must land in the last bin, not wrap.
+        with np.errstate(over="ignore"):
+            bins = np.rint(arr / dx)
+        truncated = bool(np.any(bins >= max_bins))
+        idx = np.minimum(bins, max_bins - 1).astype(np.int64)
         pmf = np.bincount(idx, minlength=int(idx.max()) + 1).astype(float)
         return cls(dx, pmf, truncated=truncated)
 

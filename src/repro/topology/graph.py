@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import networkx as nx
 
@@ -90,6 +91,18 @@ class Topology:
         self._links = tuple(sorted(canonical_link(u, v) for u, v in graph.edges()))
         self._switches_by_kind: dict[str, tuple[str, ...]] = {}
         self._attachment = {h: next(iter(graph[h])) for h in self._hosts}
+        # Set forms of the above for ActiveSubnet's invariant check, and
+        # every node's incident links for switch_links; the graph is
+        # frozen, so none of them can go stale.
+        self._switch_set = frozenset(self._switches)
+        self._link_set = frozenset(self._links)
+        self._attachment_links = frozenset(
+            canonical_link(h, s) for h, s in self._attachment.items()
+        )
+        self._switch_links = {
+            node: tuple(sorted(canonical_link(node, nbr) for nbr in graph[node]))
+            for node in graph
+        }
         self._fingerprint: str | None = None
 
     # -- structural accessors ------------------------------------------------
@@ -202,8 +215,8 @@ class Topology:
         return switch
 
     def switch_links(self, switch: str) -> tuple[Link, ...]:
-        """All links incident to ``switch``, canonicalized."""
-        return tuple(sorted(canonical_link(switch, nbr) for nbr in self._graph[switch]))
+        """All links incident to ``switch`` (any node), canonicalized and sorted."""
+        return self._switch_links[switch]
 
     # -- subnet construction --------------------------------------------------
 
@@ -237,25 +250,31 @@ class ActiveSubnet:
 
     def __post_init__(self) -> None:
         topo = self.topology
-        unknown = self.switches_on - set(topo.switches)
+        # Each invariant is one set test against the topology's cached
+        # sets; only a broken one scans the on-sets, to name its first
+        # offender.
+        switches_on, links_on = self.switches_on, self.links_on
+        unknown = switches_on - topo._switch_set
         if unknown:
             raise ConfigurationError(f"unknown switches in subnet: {sorted(unknown)}")
-        unknown_links = self.links_on - set(topo.links)
+        unknown_links = links_on - topo._link_set
         if unknown_links:
             raise ConfigurationError(f"unknown links in subnet: {sorted(unknown_links)}")
-        for u, v in self.links_on:
-            for end in (u, v):
-                if topo.is_switch(end) and end not in self.switches_on:
-                    raise ConfigurationError(
-                        f"link ({u!r}, {v!r}) is on but switch {end!r} is off"
-                    )
-        for sw in self.switches_on:
-            if not any(link in self.links_on for link in topo.switch_links(sw)):
-                raise ConfigurationError(f"switch {sw!r} is on with no active links")
-        for host in topo.hosts:
-            att = canonical_link(host, topo.attachment_switch(host))
-            if att not in self.links_on:
-                raise ConfigurationError(f"host {host!r} attachment link is off")
+        ends = set(chain.from_iterable(links_on))
+        dark = topo._switch_set - switches_on
+        if not ends.isdisjoint(dark):
+            u, v, end = next((u, v, end) for u, v in links_on for end in (u, v) if end in dark)
+            raise ConfigurationError(f"link ({u!r}, {v!r}) is on but switch {end!r} is off")
+        if not switches_on <= ends:
+            sw = next(sw for sw in switches_on if sw not in ends)
+            raise ConfigurationError(f"switch {sw!r} is on with no active links")
+        if not topo._attachment_links <= links_on:
+            host = next(
+                h
+                for h in topo.hosts
+                if canonical_link(h, topo.attachment_switch(h)) not in links_on
+            )
+            raise ConfigurationError(f"host {host!r} attachment link is off")
 
     # -- accessors -------------------------------------------------------------
 

@@ -1,6 +1,8 @@
 """SDN control plane: monitor, reconfiguration plans, controller loop."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.consolidation import GreedyConsolidator
 from repro.control import (
@@ -14,6 +16,7 @@ from repro.errors import ConfigurationError
 from repro.flows import combined_traffic
 from repro.netsim import Routing
 from repro.topology import aggregation_policy
+from tests.oracles.control import reference_diff_routings
 from tests.oracles.telemetry import batch_from_dicts
 
 
@@ -91,6 +94,41 @@ class TestDiffs:
     def test_subnet_diff_from_none(self, ft4):
         d = diff_subnets(None, aggregation_policy(ft4, 3))
         assert len(d.switches_to_on) == 13
+
+
+# Lists, so that each routing holds its own tuple: equal paths are not
+# the same object.
+_PATHS = st.sampled_from([["x", "s", "y"], ["x", "t", "y"], ["y", "s", "x"], ["x", "y"]])
+_ROUTES = st.dictionaries(st.sampled_from("abcdefghij"), _PATHS, max_size=10)
+
+
+class TestDiffRoutingsMatchesOracle:
+    """The in-place diff against the copying one in ``tests/oracles/control.py``:
+    same added, removed and rerouted entries in the same order."""
+
+    @staticmethod
+    def _fields(update):
+        return [list(d.items()) for d in (update.added, update.removed, update.rerouted)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(old=st.one_of(st.none(), _ROUTES), new=_ROUTES)
+    def test_random_routings(self, old, new):
+        old = None if old is None else Routing(old)
+        new = Routing(new)
+        assert self._fields(diff_routings(old, new)) == self._fields(
+            reference_diff_routings(old, new)
+        )
+
+    def test_every_kind_of_change(self):
+        old = Routing({"gone": ("x", "y"), "moved": ("x", "s", "y"), "kept": ("y", "s", "x")})
+        new = Routing({"kept": ("y", "s", "x"), "fresh": ("x", "t", "y"), "moved": ("x", "t", "y")})
+        update = diff_routings(old, new)
+        assert self._fields(update) == self._fields(reference_diff_routings(old, new))
+        assert self._fields(update) == [
+            [("fresh", ("x", "t", "y"))],
+            [("gone", ("x", "y"))],
+            [("moved", (("x", "s", "y"), ("x", "t", "y")))],
+        ]
 
 
 class TestSdnController:

@@ -118,6 +118,36 @@ class TestValidation:
         assert d.truncated and d.n_bins <= 64
         assert d.pmf.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_samples_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ConfigurationError, match="samples must be finite"):
+            WorkDistribution.from_samples([bad, DX], DX)
+
+    @pytest.mark.parametrize("bad", BAD_FLOATS)
+    def test_from_samples_rejects_bad_dx(self, bad):
+        with np.errstate(all="ignore"), pytest.raises(ConfigurationError):
+            WorkDistribution.from_samples([DX], bad)
+
+    def test_from_samples_lumps_samples_past_the_int_range(self):
+        d = WorkDistribution.from_samples([DX, 1e300], DX, max_bins=8)
+        assert d.truncated and d.n_bins == 8
+        assert d.pmf[1] == d.pmf[-1] == 0.5
+
+    @pytest.mark.parametrize("max_bins", [0, -1])
+    def test_from_samples_rejects_bad_max_bins(self, max_bins):
+        with pytest.raises(ConfigurationError, match="max_bins"):
+            WorkDistribution.from_samples([DX], DX, max_bins=max_bins)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_point_mass_rejects_non_finite_work(self, bad):
+        with pytest.raises(ConfigurationError, match="work"):
+            WorkDistribution.point_mass(DX, bad)
+
+    @pytest.mark.parametrize("bad", BAD_FLOATS)
+    def test_point_mass_rejects_bad_dx(self, bad):
+        with pytest.raises(ConfigurationError):
+            WorkDistribution.point_mass(bad, DX)
+
     @pytest.mark.parametrize("dx", [math.nan, math.inf, -math.inf])
     def test_init_rejects_non_finite_dx(self, dx):
         with pytest.raises(ConfigurationError):

@@ -251,6 +251,14 @@ class TestChurnOracle:
         )
         assert (churn.births, churn.deaths) == (5076, 4052)
 
+    def test_survivors_keep_their_object_without_jitter(self):
+        churn = FlowChurnModel(FatTree(4), demand_jitter=0.0, seed_or_rng=3)
+        before = {f.flow_id: f for f in churn.advance(0.3)}
+        after = list(churn.advance(0.3))
+        survivors = [f for f in after if f.flow_id in before]
+        assert survivors and len(survivors) < len(after)
+        assert all(f is before[f.flow_id] for f in survivors)
+
     def test_golden_flash_crowd(self):
         churn = FlowChurnModel(FatTree(4), flows_per_host=4.0, seed_or_rng=9)
         assert _population_digest(churn, (0.15, 0.4, 0.4, 0.15)) == (

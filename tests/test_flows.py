@@ -12,6 +12,7 @@ from repro.flows import (
     combined_traffic,
     search_flows,
 )
+from repro.flows.flow import copies_with_demands
 from repro.units import MBPS
 
 
@@ -68,9 +69,41 @@ class TestFlow:
         assert not lt_flow().is_latency_sensitive
 
 
+class TestCopiesWithDemands:
+    def test_equal_demand_returns_the_flow_itself(self):
+        f, g = ls_flow("a", 1e6), lt_flow("b", 2e6)
+        out = copies_with_demands([f, g], [1e6, 2e6])
+        assert out[0] is f and out[1] is g
+
+    def test_changed_demand_is_a_field_equal_copy(self):
+        f = ls_flow("a", 1e6)
+        (copy,) = copies_with_demands([f], [5.0])
+        assert copy is not f
+        assert copy == f.with_demand(5.0)
+        assert vars(copy) == vars(f.with_demand(5.0))
+        assert f.demand_bps == 1e6
+
+
 class TestWithDemands:
     def base(self):
         return TrafficSet([ls_flow("a", 1e6), lt_flow("b", 2e6), ls_flow("c", 3e6)])
+
+    def test_shares_unchanged_flows_and_copies_changed_ones(self):
+        base = self.base()
+        view = base.with_demands(np.array([1e6, 7.0, 3e6]), np.ones(3, dtype=bool))
+        assert view["a"] is base["a"] and view["c"] is base["c"]
+        assert view["b"] is not base["b"]
+        assert view["b"] == base["b"].with_demand(7.0)
+        assert [f.demand_bps for f in view] == [1e6, 7.0, 3e6]
+        assert view.total_demand_bps() == 1e6 + 7.0 + 3e6
+
+    def test_bad_demand_still_rejected_beside_unchanged_ones(self):
+        base = self.base()
+        with pytest.raises(ConfigurationError) as flow_error:
+            base["c"].with_demand(-1.0)
+        with pytest.raises(ConfigurationError) as view_error:
+            base.with_demands(np.array([1e6, 2e6, -1.0]), np.ones(3, dtype=bool))
+        assert str(view_error.value) == str(flow_error.value)
 
     def test_matches_rebuilding_each_flow(self):
         base = self.base()

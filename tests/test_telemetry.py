@@ -107,6 +107,15 @@ class TestDegradedStatsCollector:
             assert samples[flow.flow_id] == [flow.demand_bps] * 5
             assert monitor.has_prediction(flow.flow_id)
 
+    def test_clean_views_hold_the_offered_flows(self, workload, traffic):
+        """Clean polls predict every demand exactly, so neither view
+        copies a flow."""
+        collector = DegradedStatsCollector(workload.topology, PERFECT_TELEMETRY)
+        monitor = TrafficMonitor(window=10)
+        collector.feed(monitor, 0, traffic, n_polls=5)
+        for view in (monitor.predicted_traffic(traffic), monitor.observed_traffic(traffic)):
+            assert all(v is f for v, f in zip(view, traffic, strict=True))
+
     def test_perfect_profile_builds_no_generator(self, workload, traffic, monkeypatch):
         """No draw can change a clean outcome, so none is made."""
 

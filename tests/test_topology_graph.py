@@ -2,9 +2,12 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.topology import ActiveSubnet, NodeKind, Topology, canonical_link
+from repro.topology import ActiveSubnet, FatTree, NodeKind, Topology, canonical_link
+from tests.oracles.topology import reference_check_subnet
 
 
 def tiny_graph():
@@ -156,3 +159,108 @@ class TestActiveSubnet:
         sub = tiny.full_subnet()
         g = sub.active_graph()
         assert g.edges["s1", "s2"]["capacity"] == pytest.approx(1e9)
+
+
+def _verdict(check, topo, switches_on, links_on):
+    """``None`` when ``check`` accepts the on-sets, else its message."""
+    try:
+        check(topo, frozenset(switches_on), frozenset(links_on))
+    except ConfigurationError as exc:
+        return str(exc)
+    return None
+
+
+_SUBNET_TREES = {k: FatTree(k) for k in (4, 6)}
+
+#: The five invariants a subnet can break, in the order they are
+#: checked, with a fragment of the message that names each.
+_BREAK_MESSAGES = {
+    "unknown-switch": "unknown switches",
+    "unknown-link": "unknown links",
+    "link-to-dark-switch": "is on but switch",
+    "idle-switch": "is on with no active links",
+    "dark-attachment": "attachment link is off",
+}
+_BREAKS = tuple(_BREAK_MESSAGES)
+
+
+def _break(topo, switches, links, kind, pick):
+    """Break one invariant of the on-sets in place; ``pick`` chooses
+    among candidates."""
+    if kind == "unknown-switch":
+        switches.add(pick(["no-such-switch", topo.hosts[0]]))
+    elif kind == "unknown-link":
+        u, v = pick(list(topo.links))
+        links.add(pick([(v, u), (u, "no-such-node")]))
+    elif kind == "link-to-dark-switch":
+        lit = sorted(sw for sw in switches if sw in topo.switches)
+        if lit:
+            switches.discard(pick(lit))
+    elif kind == "idle-switch":
+        dark = sorted(set(topo.switches) - switches)
+        if dark:
+            switches.add(pick(dark))
+        else:
+            links.difference_update(topo.switch_links(pick(list(topo.switches))))
+    else:
+        attachments = sorted(canonical_link(h, topo.attachment_switch(h)) for h in topo.hosts)
+        links.discard(pick(attachments))
+
+
+class TestSubnetCheckMatchesOracle:
+    """The set-algebra check against the loop in ``tests/oracles/topology.py``:
+    the same subnets accepted, the rest rejected with the same message."""
+
+    @staticmethod
+    def _check_production(topo, switches_on, links_on):
+        ActiveSubnet(topo, switches_on, links_on)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arity=st.sampled_from(sorted(_SUBNET_TREES)),
+        data=st.data(),
+        breaks=st.lists(st.sampled_from(_BREAKS), max_size=3),
+    )
+    def test_random_on_sets(self, arity, data, breaks):
+        topo = _SUBNET_TREES[arity]
+        links = set(
+            data.draw(st.lists(st.sampled_from(topo.links), max_size=len(topo.links)))
+        )
+        if data.draw(st.booleans()):
+            links |= {canonical_link(h, topo.attachment_switch(h)) for h in topo.hosts}
+        switches = {end for link in links for end in link if topo.is_switch(end)}
+        for kind in breaks:
+            _break(topo, switches, links, kind, lambda xs: data.draw(st.sampled_from(xs)))
+        expected = _verdict(reference_check_subnet, topo, switches, links)
+        assert _verdict(self._check_production, topo, switches, links) == expected
+
+    @pytest.mark.parametrize("arity", sorted(_SUBNET_TREES))
+    @pytest.mark.parametrize("kind", _BREAKS)
+    def test_each_break_is_rejected_with_the_oracle_message(self, arity, kind):
+        topo = _SUBNET_TREES[arity]
+        full = topo.full_subnet()
+        switches, links = set(full.switches_on), set(full.links_on)
+        if kind == "idle-switch":
+            core = topo.switches_of_kind(NodeKind.CORE)[0]
+            links.difference_update(topo.switch_links(core))
+        else:
+            _break(topo, switches, links, kind, lambda xs: xs[0])
+        expected = _verdict(reference_check_subnet, topo, switches, links)
+        assert _BREAK_MESSAGES[kind] in expected
+        assert _verdict(self._check_production, topo, switches, links) == expected
+
+    def test_full_subnet_accepted(self):
+        for topo in _SUBNET_TREES.values():
+            full = topo.full_subnet()
+            assert _verdict(reference_check_subnet, topo, full.switches_on, full.links_on) is None
+
+    def test_switch_links_are_cached_sorted_and_canonical(self):
+        topo = _SUBNET_TREES[4]
+        for sw in topo.switches:
+            links = topo.switch_links(sw)
+            assert links is topo.switch_links(sw)
+            assert links == tuple(sorted(canonical_link(sw, n) for n in topo.graph[sw]))
+        host = topo.hosts[0]
+        assert topo.switch_links(host) == (canonical_link(host, topo.attachment_switch(host)),)
+        with pytest.raises(KeyError):
+            topo.switch_links("no-such-node")
