@@ -17,7 +17,9 @@ the whole queue at all ladder frequencies at once.  Given a
 :class:`QueueSnapshot`, :meth:`VPGovernor.select_frequency` asks them;
 the DES (:func:`repro.simfast.run_multipoint_simulation`) asks the same
 tables directly through
-:meth:`~repro.simfast.tables.VPTableEngine.decide_point`.  The original
+:meth:`~repro.simfast.tables.VPTableEngine.decide_point`, which walks
+the ladder from the core's previous rung and returns the same rung
+because the VP metric is monotone in frequency.  The original
 per-request mixture evaluation they replace lives on as a test oracle
 (``tests/oracles/server.py``); ``tests/test_simfast_equivalence.py``
 holds the two to identical frequencies.

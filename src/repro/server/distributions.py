@@ -137,9 +137,16 @@ class WorkDistribution:
         _check_grid_spacing(dx)
         if not (work >= 0 and math.isfinite(work)):
             raise ConfigurationError(f"work must be non-negative and finite, got {work}")
-        i = int(round(work / dx))
-        pmf = np.zeros(i + 1)
-        pmf[i] = 1.0
+        ratio = work / dx
+        # A ratio past the float range would make round() raise.
+        n_bins = int(round(ratio)) + 1 if math.isfinite(ratio) else math.inf
+        if n_bins > DEFAULT_MAX_BINS:
+            raise ConfigurationError(
+                f"a point mass at work {work} needs {n_bins:.6g} grid bins of {dx}, "
+                f"past the cap of {DEFAULT_MAX_BINS}"
+            )
+        pmf = np.zeros(n_bins)
+        pmf[-1] = 1.0
         return cls(dx, pmf)
 
     @classmethod

@@ -13,7 +13,8 @@ frequency, completion time and the meter integrals as floats.
 A core's governor decides in one of four ways, picked once per point:
 
 * a VP governor through
-  :meth:`~repro.simfast.tables.VPTableEngine.decide_point`;
+  :meth:`~repro.simfast.tables.VPTableEngine.decide_point`, which walks
+  the ladder from the rung the core chose last;
 * the constant governor (no power management) applies ``f_max``;
 * TimeTrader applies its core governor's current frequency;
 * any other governor (today the clairvoyant oracle) is asked through
@@ -127,6 +128,8 @@ def _run_core(arr, work, gd, hook, policy, nap_model, warmup, duration, speed,
     tables, mode, target_vp, reorders, gov, snapshot)``: a VP point
     sets ``tables``, a constant point ``f_const``; TimeTrader sets
     ``gov``, and a snapshot governor sets ``gov`` and ``snapshot``.
+    A VP point keeps the core's last rung (0 before the first
+    decision) as the start of the next decision's ladder walk.
     Both governor kinds pass ``hook = (net, rep, dl)`` lists for
     ``on_complete``.  ``nap_model`` is the sleep model or ``None``.
 
@@ -140,6 +143,7 @@ def _run_core(arr, work, gd, hook, policy, nap_model, warmup, duration, speed,
     # VP and snapshot governors see the queued deadlines, in EDF order
     # when the governor reorders.
     track = tables is not None or snapshot
+    freqs = None if tables is None else tables.frequencies
     n_arr = len(arr)
     ptr = 0
     queue: list[int] = []  # waiting requests (local indices), service order
@@ -149,6 +153,7 @@ def _run_core(arr, work, gd, hook, policy, nap_model, warmup, duration, speed,
     remaining = 0.0
     started_at = 0.0
     frequency = 0.0
+    rung = 0  # last VP decision's ladder rung
     completion = _INF
     # EnergyMeter state, inlined.
     power = idle_watts
@@ -285,7 +290,8 @@ def _run_core(arr, work, gd, hook, policy, nap_model, warmup, duration, speed,
             deltas = [svc_gd - now]
             deltas += [d - now for d in qdl]
             offset = tables.head_offset((work[svc] - remaining) or 0.0)
-            f = tables.decide_point(deltas, offset, mode, target_vp)
+            rung = tables.decide_point(deltas, offset, mode, target_vp, rung)
+            f = freqs[rung]
             n_decisions += 1
         elif gov is not None:
             if snapshot:

@@ -20,7 +20,11 @@ distribution ``head_o ⊗ S_k`` — a pure function of the service model.
 ``(head offset, fold count k)`` and answers a governor decision for the
 *entire queue at all candidate frequencies at once* as one fancy-index
 gather plus a reduction, replacing the per-request, per-rung mixture
-loop.
+loop.  The per-core DES asks :meth:`VPTableEngine.decide_point`
+instead: a pure-Python walk along the ladder from the core's previous
+rung, reading table values through memoryviews.  The VP metric never
+rises with the rung, so the walk returns the same rung as the
+vectorized decision after about two rung evaluations.
 
 Tables are built once per process and shared across governors, cores
 and same-process sweep tasks through :func:`shared_table_engine`
@@ -74,12 +78,13 @@ class _HeadStack:
     the gathered indices reproduces ``ccdf_many`` bin for bin.
     """
 
-    __slots__ = ("head", "rows", "tables")
+    __slots__ = ("head", "rows", "tables", "views")
 
     def __init__(self, head: WorkDistribution | None):
         self.head = head
         self.rows: list[np.ndarray] = []
         self.tables = np.zeros((0, 1))
+        self.views: list[memoryview] = []
 
     @property
     def n_rows(self) -> int:
@@ -109,6 +114,9 @@ class _HeadStack:
         # byte accounting (``nbytes`` counts only ``tables``) would see
         # half the resident footprint and the LRU cap would overshoot.
         self.rows = [tables[i, : row.size] for i, row in enumerate(self.rows)]
+        # One memoryview per padded row: a scalar read through one costs
+        # about half of ``ndarray.item`` (decide_point's inner loop).
+        self.views = [memoryview(row) for row in tables]
 
     def _build_row(self, k: int, powers: ConvolutionCache) -> np.ndarray:
         if self.head is None:
@@ -163,9 +171,6 @@ class VPTableEngine:
         self.speeds = np.array([fm.speed_factor(f) for f in self.frequencies])
         self.n_freqs = len(self.frequencies)
         self._speed_list = [float(s) for s in self.speeds]
-        # decide_point's rung order: top rung first (fallback gate),
-        # then bottom-up to the first satisfying rung.
-        self._scan_order = (self.n_freqs - 1, *range(self.n_freqs - 1))
         # Insertion-ordered LRU of head stacks, keyed by conditioning
         # offset (None = no in-service request).
         self._stacks: dict[int | None, _HeadStack] = {}
@@ -264,12 +269,23 @@ class VPTableEngine:
         ``f_max`` fails, mirroring
         :meth:`FrequencyLadder.lowest_satisfying`.
         """
+        rung = self._lowest_rung(deltas, offset, mode, target_vp)
+        return None if rung is None else self.frequencies[rung]
+
+    def _lowest_rung(
+        self,
+        deltas: np.ndarray,
+        offset: int | None,
+        mode: str,
+        target_vp: float,
+    ) -> int | None:
+        """:meth:`decide` as a rung index (``None`` when ``f_max`` fails)."""
         vp = self.violation_probabilities(deltas, offset)
         metric = vp.max(axis=0) if mode == "max" else vp.mean(axis=0)
         satisfied = metric <= target_vp
         if not satisfied[-1]:
             return None
-        return self.frequencies[int(np.argmax(satisfied))]
+        return int(np.argmax(satisfied))
 
     def decide_point(
         self,
@@ -277,85 +293,90 @@ class VPTableEngine:
         offset: int | None,
         mode: str,
         target_vp: float,
-    ) -> float:
-        """Scalar :meth:`decide` for one short queue, pure Python.
+        start: int,
+    ) -> int:
+        """Scalar :meth:`decide` for one short queue, as a rung index.
 
         ``deltas`` is a list of Python floats (same layout as
-        :meth:`decide`); returns the chosen frequency with the
-        ``None -> f_max`` fallback applied.  Restricted to queues
-        shorter than 8 requests: below numpy's pairwise-sum block the
-        vectorized reductions accumulate strictly left to right, which
-        is the order this loop uses — so each float matches
-        :meth:`decide` bit for bit.  The selection logic is decide()'s,
-        literally: the top rung gates the ``None -> f_max`` fallback,
-        then the upward scan stops at the first satisfying rung
-        (``argmax`` of the satisfied mask) without evaluating the rungs
-        above it.
+        :meth:`decide`); returns the rung of the chosen frequency in
+        :attr:`frequencies`, with the ``None -> f_max`` fallback applied
+        (the top rung).  ``start`` is the rung the search begins at —
+        the core's previous choice, which is usually the answer or next
+        to it.
+
+        The VP metric never rises with the rung on a head stack: rows
+        are non-increasing, speed factors fall along the ladder, the
+        bin ``floor(d / s / dx + 1e-9)`` of a delta ``d >= 0`` never
+        falls as ``s`` does (IEEE division and addition are monotone),
+        and float sums and maxima are monotone in each term.  So
+        walking down from a satisfied ``start`` to the last satisfied
+        rung, or up from a failed one to the first satisfied rung (the
+        top if none below it is), returns exactly what :meth:`decide`
+        returns.  Three inputs break that order or leave the scalar
+        range and go to :meth:`decide` itself: an idle head (its rows
+        are convolution CCDFs that can dip below 0.0 before their final
+        0.0), a strictly negative queued delta (a tiny negative budget
+        reads bin 0 at low rungs and bin -1 at high ones), and a queue
+        of 8 or more.  Below numpy's pairwise-sum block (8 elements)
+        the vectorized reductions accumulate strictly left to right,
+        the order this loop uses, so each float matches :meth:`decide`
+        bit for bit.
         """
         n = len(deltas)
         if n == 0:
             raise ConfigurationError("decide_point() needs at least one request")
-        if n >= 8:
-            chosen = self.decide(np.array(deltas), offset, mode, target_vp)
-            return chosen if chosen is not None else self.frequencies[-1]
-        if offset is None:
-            k_max = n
-            row0 = 1
-        else:
-            k_max = n - 1
-            row0 = 0
-        stack = self.stack(offset, k_max)
-        item = stack.tables.item
-        hi = stack.width - 2
+        # The whole-list min() first: most queues have no negative delta.
+        negative_queued = min(deltas) < 0.0 and min(deltas[1:], default=0.0) < 0.0
+        if offset is None or n >= 8 or negative_queued:
+            rung = self._lowest_rung(np.array(deltas), offset, mode, target_vp)
+            return self.n_freqs - 1 if rung is None else rung
+        views = self.stack(offset, n - 1).views
+        last = len(views[0]) - 1  # the padded rows' final 0.0
         dx = self.dx
-        freqs = self.frequencies
         speeds = self._speed_list
         is_mean = mode != "max"
         # A strictly negative head delta reads VP 1.0 at every rung
         # (the reference CCDF's early return); fold it into the
-        # accumulator seed and scan the remaining elements.  Seeding
-        # max with 0.0 is exact too: every table value is in [0, 1].
-        if offset is not None and deltas[0] < 0.0:
-            seed, i0 = 1.0, 1
+        # accumulator seed and walk the remaining elements.  Seeding
+        # max with 0.0 is exact too: every head-stack value is in
+        # [0, 1].  Every walked delta is >= 0, so its bin is >= 0 and
+        # only the upper clip applies.
+        if deltas[0] < 0.0:
+            seed, deltas, views = 1.0, deltas[1:], views[1:]
         else:
-            seed, i0 = 0.0, 0
-        tail = deltas[i0:]
-        # Literal decide() evaluation order: the top rung gates the
-        # None -> f_max fallback, then the upward scan returns the
-        # first satisfying rung.
-        gate = True
-        for fi in self._scan_order:
-            s = speeds[fi]
+            seed = 0.0
+        top = self.n_freqs - 1
+        rung = start
+        down = None  # walk direction, fixed by the metric at ``start``
+        while True:
+            s = speeds[rung]
             acc = seed
-            ri = row0 + i0
             if is_mean:
-                for d in tail:
-                    m = _floor(d / s / dx + 1e-9)
-                    if m > hi:
-                        m = hi
-                    elif m < -1:
-                        m = -1
-                    acc += item(ri, m + 1)
-                    ri += 1
+                for d, row in zip(deltas, views):
+                    m = _floor(d / s / dx + 1e-9) + 1
+                    acc += row[m if m < last else last]
                 acc /= n
             else:
-                for d in tail:
-                    m = _floor(d / s / dx + 1e-9)
-                    if m > hi:
-                        m = hi
-                    elif m < -1:
-                        m = -1
-                    v = item(ri, m + 1)
+                for d, row in zip(deltas, views):
+                    m = _floor(d / s / dx + 1e-9) + 1
+                    v = row[m if m < last else last]
                     if v > acc:
                         acc = v
-                    ri += 1
-            if gate:
-                gate = False
-                if acc > target_vp:
-                    return freqs[-1]
-            elif acc <= target_vp:
-                return freqs[fi]
-        return freqs[-1]
+            ok = acc <= target_vp
+            if down is None:
+                down = ok
+            if down:
+                if not ok:
+                    return rung + 1
+                if rung == 0:
+                    return 0
+                rung -= 1
+            else:
+                if ok:
+                    return rung
+                rung += 1
+                if rung >= top:
+                    return top
 
 
 # -- process-level sharing ------------------------------------------------------

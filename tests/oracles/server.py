@@ -24,7 +24,11 @@ The VP decision (Section III-B):
   :class:`~repro.server.distributions.ConvolutionCache`;
 * :func:`reference_governor` — any :class:`~repro.policies.base.VPGovernor`
   class re-wired to decide through :class:`EquivalentQueue` snapshots,
-  binary-searching the ladder.
+  binary-searching the ladder;
+* :func:`scan_decide_point` — the tabulated decision as a literal
+  scalar scan of the ladder (top rung first as the ``f_max`` gate, then
+  upward from rung 0), the reference for the warm-started walk of
+  :meth:`~repro.simfast.tables.VPTableEngine.decide_point`.
 
 The event-heap server DES, on :class:`~repro.sim.engine.EventLoop`:
 
@@ -45,6 +49,7 @@ call the mixture (``tests/test_simfast_equivalence.py`` guards this).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import floor
 
 import numpy as np
 
@@ -67,6 +72,7 @@ from repro.stats import LatencySummary
 __all__ = [
     "EquivalentQueue",
     "reference_governor",
+    "scan_decide_point",
     "Request",
     "CoreSimulator",
     "MultiCoreServer",
@@ -99,6 +105,57 @@ def reference_governor(governor_cls: type[VPGovernor]) -> type[VPGovernor]:
         f"Reference{governor_cls.__name__}"
     )
     return ReferenceGovernor
+
+
+def scan_decide_point(engine, deltas, offset, mode, target_vp) -> int:
+    """Rung of the lowest ladder frequency whose VP metric meets
+    ``target_vp`` (the top rung when even ``f_max`` fails).
+
+    ``deltas`` is a list of Python floats laid out as for
+    :meth:`~repro.simfast.tables.VPTableEngine.decide`.  The literal
+    order of ``decide()``: the top rung gates the ``None -> f_max``
+    fallback, then the upward scan returns the first satisfying rung,
+    each element read with ``ndarray.item`` and accumulated left to
+    right, so every float matches the vectorized decision for queues
+    shorter than 8.
+    """
+    n = len(deltas)
+    if n >= 8:
+        raise ConfigurationError("the scalar scan covers queues shorter than 8")
+    if offset is None:
+        row0 = 1
+        stack = engine.stack(None, n)
+    else:
+        row0 = 0
+        stack = engine.stack(offset, n - 1)
+    item = stack.tables.item
+    hi = stack.width - 2
+    top = engine.n_freqs - 1
+    # A strictly negative head delta reads VP 1.0 at every rung.
+    if offset is not None and deltas[0] < 0.0:
+        seed, i0 = 1.0, 1
+    else:
+        seed, i0 = 0.0, 0
+    gate = True
+    for fi in (top, *range(top)):
+        s = engine.speeds.item(fi)
+        acc = seed
+        for i, d in enumerate(deltas[i0:], start=row0 + i0):
+            m = min(max(floor(d / s / engine.dx + 1e-9), -1), hi)
+            v = item(i, m + 1)
+            if mode == "max":
+                acc = v if v > acc else acc
+            else:
+                acc += v
+        if mode != "max":
+            acc /= n
+        if gate:
+            gate = False
+            if acc > target_vp:
+                return top
+        elif acc <= target_vp:
+            return fi
+    return top
 
 
 class EquivalentQueue:

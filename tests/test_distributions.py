@@ -15,7 +15,7 @@ from scipy import signal
 
 from repro.errors import ConfigurationError
 from repro.server import ConvolutionCache, WorkDistribution
-from repro.server.distributions import fftconvolve
+from repro.server.distributions import DEFAULT_MAX_BINS, fftconvolve
 
 from tests.oracles.distributions import reference_lognormal
 
@@ -142,6 +142,17 @@ class TestValidation:
     def test_point_mass_rejects_non_finite_work(self, bad):
         with pytest.raises(ConfigurationError, match="work"):
             WorkDistribution.point_mass(DX, bad)
+
+    @pytest.mark.parametrize("work", [1e300, DEFAULT_MAX_BINS * DX])
+    def test_point_mass_rejects_grids_past_the_bin_cap(self, work):
+        # 1e300 / DX bins would overflow numpy's allocator; DEFAULT_MAX_BINS
+        # * DX needs one bin more than the cap the other constructors honour.
+        with pytest.raises(ConfigurationError, match=f"bins.*cap of {DEFAULT_MAX_BINS}"):
+            WorkDistribution.point_mass(DX, work)
+
+    def test_point_mass_accepts_exactly_the_bin_cap(self):
+        d = WorkDistribution.point_mass(DX, (DEFAULT_MAX_BINS - 1) * DX)
+        assert d.n_bins == DEFAULT_MAX_BINS and d.pmf[-1] == 1.0
 
     @pytest.mark.parametrize("bad", BAD_FLOATS)
     def test_point_mass_rejects_bad_dx(self, bad):

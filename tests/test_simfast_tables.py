@@ -3,22 +3,28 @@
 The equivalence of whole decisions and whole simulations lives in
 ``test_simfast_equivalence.py``; here we pin the building blocks — the
 table rows against the reference mixture math, the exactness of the
-idle-head rows, byte-capped eviction and the process-level registry.
+idle-head rows, the warm-started ladder walk against the literal scan,
+byte-capped eviction and the process-level registry.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.server.dvfs import XEON_LADDER, FrequencyLadder
+from repro.server.service import default_service_model
 from repro.simfast.tables import (
+    VP_MODES,
     VPTableEngine,
     clear_shared_engines,
     shared_table_engine,
 )
 from repro.units import GHZ
+from tests.oracles.server import scan_decide_point
 
 
 @pytest.fixture()
@@ -71,6 +77,28 @@ def test_rows_monotone_bounded_and_terminated(engine):
         assert np.all(stack.tables[k, w:] == 0.0)
 
 
+def test_every_head_row_is_non_increasing(engine):
+    """The ladder walk's premise: every row a head stack builds, at
+    head offsets across the whole grid and past its end, is
+    non-increasing in [0, 1] — so a lookup never rises as the budget
+    bin does."""
+    n_bins = engine.base.n_bins
+    for offset in (*range(0, n_bins, 7), n_bins - 1, n_bins, n_bins + 1):
+        for k, row in enumerate(engine.stack(offset, 8).rows):
+            assert row[0] == 1.0 and row[-1] == 0.0, (offset, k)
+            assert np.all(row >= 0.0), (offset, k)
+            assert np.all(np.diff(row) <= 0.0), (offset, k)
+
+
+def test_idle_head_rows_can_rise(engine):
+    """Why an idle head stays on ``decide()``: its rows are the
+    convolution powers' CCDF tables, and some dip below 0.0 just before
+    their final 0.0, so a lookup can rise with the budget bin."""
+    table = engine.powers.power(4)._ccdf_table
+    assert np.any(np.diff(table) > 0.0)
+    np.testing.assert_array_equal(engine.stack(None, 4).rows[4], table)
+
+
 def test_stack_grows_lazily_and_reuses_rows(engine):
     stack = engine.stack(2, 2)
     rows_before = [r.copy() for r in stack.rows]
@@ -115,6 +143,63 @@ def test_decide_mean_mode_at_most_max_mode(engine):
         if f_max_mode is not None:
             assert f_mean_mode is not None
             assert f_mean_mode <= f_max_mode
+
+
+def test_decide_point_returns_rungs(engine):
+    top = engine.n_freqs - 1
+    for start in (0, 5, top):
+        # Blown deadlines fail at every rung: the f_max fallback.
+        assert engine.decide_point([-1.0, -1.0], 0, "max", 0.05, start) == top
+        # Ample slack: the walk goes all the way down.
+        assert engine.decide_point([10.0, 10.0], 0, "mean", 0.05, start) == 0
+    with pytest.raises(ConfigurationError):
+        engine.decide_point([], 0, "max", 0.05, 0)
+
+
+# -- the warm-started walk against the literal scan --------------------------------
+
+_BASE = default_service_model().distribution
+#: Budget (s) past the end of every row up to nine folds, at any rung.
+_REACH = 2.0 * 10 * _BASE.n_bins * _BASE.dx
+
+_DELTAS = st.one_of(
+    st.floats(0.0, 4 * _BASE.n_bins * _BASE.dx),  # on the grid
+    st.just(0.0),
+    st.floats(_REACH, 10 * _REACH),  # past the grid end
+    st.floats(-_REACH, -1e-12),  # strictly negative
+    st.floats(-1e-13, -1e-15),  # tiny negatives: bin 0 low, bin -1 high
+)
+
+
+@pytest.fixture(scope="module")
+def walk_engine(service_model) -> VPTableEngine:
+    # Module-wide, so stacks built by earlier examples stay warm.
+    return VPTableEngine(service_model, XEON_LADDER)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_walk_matches_scan_from_every_start(walk_engine, data):
+    """From every start rung, ``decide_point`` returns the rung the
+    literal top-gate-then-scan returns (``decide()`` for 8 or more
+    requests), including on non-monotone inputs it must hand to
+    ``decide()`` and on targets that tie a rung's metric exactly."""
+    engine = walk_engine
+    offset = data.draw(st.integers(0, engine.base.n_bins + 1), label="offset")
+    deltas = data.draw(st.lists(_DELTAS, min_size=1, max_size=9), label="deltas")
+    mode = data.draw(st.sampled_from(VP_MODES), label="mode")
+    vp = engine.violation_probabilities(np.array(deltas), offset)
+    metric = vp.max(axis=0) if mode == "max" else vp.mean(axis=0)
+    target = data.draw(
+        st.one_of(st.sampled_from(metric.tolist()), st.floats(0.0, 1.0)), label="target"
+    )
+    if len(deltas) < 8:
+        expected = scan_decide_point(engine, deltas, offset, mode, target)
+    else:
+        chosen = engine.decide(np.array(deltas), offset, mode, target)
+        expected = engine.n_freqs - 1 if chosen is None else engine.frequencies.index(chosen)
+    for start in range(engine.n_freqs):
+        assert engine.decide_point(deltas, offset, mode, target, start) == expected, start
 
 
 # -- eviction ----------------------------------------------------------------------
